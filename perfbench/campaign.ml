@@ -9,7 +9,9 @@ let big_count = 4
 let big_n = 2000
 let exact_count = 100
 let exact_rounds = 2
-let min_passes = 3
+
+(* Seconds of one measured pass, for [Common.passes]. *)
+let pass_s = 1.6
 
 type inputs = { big : Instance.t list; exact : Instance.t list }
 
@@ -34,24 +36,25 @@ let solve_all inputs =
     (List.for_all (function Some (x : Offline.solved) -> x.optimal | None -> true) solves);
   solves
 
-(* One pass: each algorithm over the instances, timed per schedule. The
-   first pass records every schedule's starts; later passes must reproduce
-   them. *)
+(* One pass: each algorithm over the instances, back to back; returns the
+   seconds each algorithm took. The first pass records every schedule's
+   starts; later passes must reproduce them. *)
 let pass ~first ~run inputs =
   let record = Hashtbl.length first = 0 in
-  List.concat_map
+  List.map
     (fun (a : Offline.algo) ->
-      List.mapi
-        (fun i inst ->
-          let dt = ref infinity in
-          Common.op (what a i) (fun () ->
-              let s, t = Common.time (fun () -> run a inst) in
-              dt := t;
-              if record then Hashtbl.replace first (a.key, i) (Schedule.starts s);
-              Common.checks
-                [ ("starts equal the first pass", Schedule.starts s = Hashtbl.find first (a.key, i)) ]);
-          ((a.key, i), !dt))
-        inputs.big)
+      let (), t =
+        Common.time (fun () ->
+            List.iteri
+              (fun i inst ->
+                Common.op (what a i) (fun () ->
+                    let s = run a inst in
+                    if record then Hashtbl.replace first (a.key, i) (Schedule.starts s);
+                    Common.checks
+                      [ ("starts equal the first pass", Schedule.starts s = Hashtbl.find first (a.key, i)) ]))
+              inputs.big)
+      in
+      (a.key, t))
     Offline.algos
 
 (* After the measured passes: the full checks on each schedule of the first
@@ -72,46 +75,33 @@ let validation ~seed ~first inputs =
         inputs.big)
     Offline.algos
 
+(* A fixed number of measured passes, the first of them the reference, with
+   the exact rounds spread among them. An algorithm's time is its best
+   pass over the four instances; each instance's solve time is its best
+   round. *)
 let run ~seed ~seconds =
   let inputs = Common.time_setup (fun () -> setup_once ~seed) in
-  let resample () = Common.resample_setup (fun () -> setup_once ~seed) in
-  resample ();
-  resample ();
-  let start = Common.now_s () in
-  let deadline = start +. seconds in
   let first = Hashtbl.create 16 in
-  let times = ref [] and rounds = ref [] in
-  (* The exact rounds are spread over the run, so that each instance's best
-     round is taken over different states of the host. *)
-  while List.length !times < min_passes || Common.now_s () < deadline do
-    let due = float_of_int (List.length !rounds) *. seconds /. float_of_int exact_rounds in
-    if List.length !rounds < exact_rounds && Common.now_s () -. start >= due then
-      rounds := solve_all inputs :: !rounds;
-    times := pass ~first ~run:(fun a inst -> a.Offline.run inst) inputs :: !times;
-    resample ()
-  done;
-  while List.length !rounds < exact_rounds do
-    rounds := solve_all inputs :: !rounds
-  done;
+  let passes = Common.passes ~pass_s ~seconds in
+  let start = Common.now_s () in
+  let times, rounds, exact_s =
+    Common.measure ~passes ~rounds:exact_rounds
+      ~pass:(fun () -> pass ~first ~run:(fun a inst -> a.Offline.run inst) inputs)
+      ~round:(fun () -> solve_all inputs)
+  in
   let peak_rss_mb = Common.peak_rss_mb () in
-  Printf.eprintf "perfbench: campaign seed %d: %d passes in %.1f s\n%!" seed (List.length !times)
-    (Common.now_s () -. start);
+  Printf.eprintf "perfbench: campaign seed %d: %d passes and %d exact rounds (%.1f s) in %.1f s\n%!" seed passes
+    exact_rounds exact_s (Common.now_s () -. start);
   validation ~seed ~first inputs;
   Common.metric "setup_s" "s" (Common.setup_s ());
   Common.metric "peak_rss_mb" "MB" peak_rss_mb;
   List.iter
     (fun (a : Offline.algo) ->
-      (* Each schedule's best time over the passes, summed over the
-         instances, as for the replays' segments. *)
-      let best =
-        List.init big_count (fun i ->
-            List.fold_left (fun b t -> Float.min b (List.assoc (a.key, i) t)) infinity !times)
-        |> List.fold_left ( +. ) 0.
-      in
+      let best = Common.best (List.map (List.assoc a.key) times) in
       Common.metric ("jobs_per_s." ^ a.key) "1/s" (float_of_int (big_count * big_n) /. best);
       Common.metric ("schedules_per_s." ^ a.key) "1/s" (float_of_int big_count /. best))
     Offline.algos;
-  Offline.bnb_metrics !rounds
+  Offline.bnb_metrics rounds
 
 (* The traced run: untraced and traced passes (heuristics and exact solves)
    alternate until the time is up; the first traced pass gives the

@@ -20,25 +20,52 @@ let quantile a q =
 
 let median a = quantile a 0.5
 
-(* --- Set-up time ------------------------------------------------------------
+(* --- Set-up time and pass counts -------------------------------------------
 
-   setup_s is the fastest of ten timed set-ups: three before the first pass,
-   then one after each pass, each regenerating the same inputs. The host's
-   speed drifts in phases longer than a burst of set-ups and moves set-up
-   time up to 2× (runs in slow and fast phases read 0.08 and 0.04 s on
-   stable), so the samples are spread over the run and the fastest is
-   reported, like every other time here. *)
+   setup_s is the median of [setup_runs] set-ups made back to back before
+   the first pass, each regenerating the same inputs. *)
 
-let setup_target = 10
+let setup_runs = 7
 let setup_times = ref []
 
 let time_setup f =
-  let v, t = time f in
-  setup_times := t :: !setup_times;
-  v
+  let v = ref None in
+  for _ = 1 to setup_runs do
+    let x, t = time f in
+    setup_times := t :: !setup_times;
+    v := Some x
+  done;
+  Option.get !v
 
-let resample_setup f = if List.length !setup_times < setup_target then ignore (time_setup f)
-let setup_s () = List.fold_left Float.min infinity !setup_times
+let setup_s () = median (Array.of_list !setup_times)
+
+(* The number of measured passes of a run is fixed by the workload and
+   [--seconds], never by how fast the passes go, so that two versions of
+   the program take their best-of over the same number of samples.
+   [pass_s] is the length of one pass when the benchmark was written
+   (2-core x86-64 container), so a run takes about [seconds] there. *)
+let passes ~pass_s ~seconds = max 3 (int_of_float (Float.round (seconds /. pass_s)))
+
+(* Best (smallest) of a list of times. *)
+let best l = List.fold_left Float.min infinity l
+
+(* The measured part of a run: [passes] calls of [pass], with [rounds]
+   calls of [round] spread evenly among them. Every round starts from a
+   finished major GC cycle, whatever the passes before it left on the
+   heap. Returns the passes' and rounds' results, latest first, and the
+   seconds the rounds took. *)
+let measure ~passes ~rounds ~pass ~round =
+  let ps = ref [] and rs = ref [] and round_s = ref 0. in
+  for i = 0 to passes - 1 do
+    while List.length !rs < (i + 1) * rounds / passes do
+      Gc.full_major ();
+      let r, dt = time round in
+      rs := r :: !rs;
+      round_s := !round_s +. dt
+    done;
+    ps := pass () :: !ps
+  done;
+  (!ps, !rs, !round_s)
 
 (* The per-policy metric suffix. *)
 let policy_key (p : Resa_sim.Policy.t) = String.lowercase_ascii p.Resa_sim.Policy.name

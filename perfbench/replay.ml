@@ -21,6 +21,7 @@ type spec = {
           run-to-run spread of the drawn total work. *)
   qmax : int;  (** Job widths are capped here. *)
   calendar : bool;  (** Replay against the fixed reservation calendar. *)
+  pass_s : float;  (** Seconds of one measured pass, for [Common.passes]. *)
 }
 
 let m = 128
@@ -31,14 +32,15 @@ let gc_every = 1000
 (* The reservation calendar: one 1000-unit reservation of 32 of the 128
    processors per 1700-unit slot, placed inside its slot by a fixed seed,
    so reservations never overlap and U(t) ≤ 32 = (1−α)m for α = 0.75.
-   Its 433 reservations span the ~740k units of a 5000-job trace at mean
+   Its 436 reservations span the ~740k units of a 5000-job trace at mean
    gap 150. The calendar does not move with --seed: the engine's gc regime
    hangs on the node count of the calendar's timeline, which sits just over
    the 16384-node gc trigger, and a calendar drawn per seed moves the
-   number of gc runs by up to 60%. With this one, job streams of four seeds
-   gave 189–218 gc runs per FCFS replay; 440 reservations gave 370–386 at
-   twice the cost per pass, 430 gave 112–149. *)
-let calendar_slots = 433
+   number of gc runs by up to 60%. With this one, job streams of six seeds
+   gave 263–307 gc runs per FCFS replay. 433 reservations cost a third
+   less but spread more (seeds 1–6 gave 177–204 gc runs, 150-job traces);
+   440 gave 327–374 at 1.4× the cost of 436. *)
+let calendar_slots = 436
 let calendar_slot = 1700
 let calendar_len = 1000
 let calendar_q = 32
@@ -147,18 +149,7 @@ let traced_policy (p : Policy.t) acc =
 (* The default heartbeat cadence of [run_stream]. *)
 let hb_cadence = 65536
 
-type outcome = {
-  stats : Sim.stream_stats;
-  records : int;
-  digest : int;
-  starts : int array option;
-  segments : float array;  (** Seconds per segment of the replay. *)
-}
-
-(* A replay is cut into this many segments at fixed record counts (every
-   n/20-th job start, the last one running to the end), so that passes can
-   be compared segment by segment. *)
-let segments = 20
+type outcome = { stats : Sim.stream_stats; records : int; digest : int; starts : int array option }
 
 (* Replay trace [path] under [policy]. [hb_oc] receives heartbeat rows as
    [resa replay --heartbeat] writes them. With [acc] the run is traced:
@@ -170,13 +161,10 @@ let replay ?acc ?(keep_starts = false) ~hb_oc ~reservations ~n policy path =
   let ms = Resa_sim.Metrics.Stream.create ~m ~reservations () in
   let digest = ref Common.digest_init and records = ref 0 in
   let starts = if keep_starts then Some (Array.make n (-1)) else None in
-  let seg_len = max 1 (n / segments) and marks = Array.make (segments + 1) 0 in
   let on_record (r : Sim.record) =
     let id = Job.id r.job in
     digest := Common.mix (Common.mix !digest id) r.start;
     incr records;
-    if !records mod seg_len = 0 && !records / seg_len < segments then
-      marks.(!records / seg_len) <- Spans.now_ns ();
     (match starts with Some a when id < n -> a.(id) <- r.start | _ -> ());
     let s = Spans.enter sp_metrics in
     Resa_sim.Metrics.Stream.observe ms r;
@@ -223,7 +211,6 @@ let replay ?acc ?(keep_starts = false) ~hb_oc ~reservations ~n policy path =
   in
   let stats =
     Swf_stream.with_file ~m path (fun src ->
-        marks.(0) <- Spans.now_ns ();
         let next () =
           let s = Spans.enter sp_swf in
           let a = src () in
@@ -236,9 +223,7 @@ let replay ?acc ?(keep_starts = false) ~hb_oc ~reservations ~n policy path =
             Sim.run_stream ~gc_every ~heartbeat_every ~on_heartbeat ~on_record ~policy ~m ~reservations
               next))
   in
-  marks.(segments) <- Spans.now_ns ();
-  let segments = Array.init segments (fun j -> float_of_int (marks.(j + 1) - marks.(j)) /. 1e9) in
-  { stats; records = !records; digest = !digest; starts; segments }
+  { stats; records = !records; digest = !digest; starts }
 
 (* Feasibility of a replayed schedule: every job starts at or after its
    submission, and the offline instance (same jobs and reservations)
@@ -255,11 +240,11 @@ let validate ~reservations (arrivals : Swf_stream.arrival list) starts =
 
 (* --- Runs ------------------------------------------------------------------ *)
 
-(* The exact solver is timed on every workload: here on the first 25
-   instances of the fixed exact-solve set, in six rounds. *)
-let exact_subset = 25
-let exact_reps = 6
-let min_passes = 3
+(* The exact solver is timed on every workload: here on the first 15
+   instances of the fixed exact-solve set (the 19th alone takes ~0.85 s),
+   in twelve rounds spread over the passes. *)
+let exact_subset = 15
+let exact_rounds = 12
 
 type inputs = { reservations : Reservation.t list; exact : Instance.t list }
 
@@ -270,8 +255,7 @@ let setup_once spec ~seed =
   generate spec ~seed;
   { reservations; exact = List.init exact_subset (fun i -> Offline.exact_instance (i + 1)) }
 
-(* The first, timed set-up; inputs that left their regime stop the run
-   here. *)
+(* The timed set-ups; inputs that left their regime stop the run here. *)
 let setup spec ~seed =
   let inputs = Common.time_setup (fun () -> setup_once spec ~seed) in
   if spec.calendar then
@@ -292,38 +276,47 @@ let with_hb spec f =
 
 let what spec p i = Printf.sprintf "%s %s stream %d" spec.name p.Policy.name i
 
-(* Output-side regime guards, on the worst stream of each policy. *)
+(* Output-side regime guards, on the worst stream of each policy. They
+   judge the reference pass only when every replay of it returned: a
+   replay that raised is a failed operation, reported through [failed],
+   not a drift of the inputs. *)
 let regime_guards spec stats =
   let worst f (p : Policy.t) =
     Hashtbl.fold (fun (q, _) s acc -> if q = p.Policy.name then max acc (f s) else acc) stats 0
   in
   let check what ok = Common.guard (Printf.sprintf "%s: %s" spec.name what) ok in
-  match spec.name with
-  | "stable" ->
-    List.iter
-      (fun p -> check (p.Policy.name ^ " max_live <= 1000") (worst (fun s -> s.Sim.max_live) p <= 1000))
-      Policy.all
-  | "overload" ->
-    (* Seeds 41–70 gave worst-stream peaks of 1666–1892 (FCFS) and
-       1069–1308 (CONS); the floors sit well below, so only a drift out of
-       the deep-queue regime trips them. *)
-    List.iter
-      (fun (p, floor) ->
-        check (Printf.sprintf "%s max_queued >= %d" p.Policy.name floor) (worst (fun s -> s.Sim.max_queued) p >= floor))
-      [ (Policy.fcfs, 1000); (Policy.conservative, 500) ]
-  | _ -> ()
+  if Hashtbl.length stats < spec.streams * List.length Policy.all then
+    prerr_endline ("perfbench: " ^ spec.name ^ ": a reference replay failed; regime guards skipped")
+  else
+    match spec.name with
+    | "stable" ->
+      List.iter
+        (fun p -> check (p.Policy.name ^ " max_live <= 1000") (worst (fun s -> s.Sim.max_live) p <= 1000))
+        Policy.all
+    | "overload" ->
+      (* Seeds 41–70 gave worst-stream peaks of 1666–1892 (FCFS) and
+         1069–1308 (CONS); the floors sit well below, so only a drift out
+         of the deep-queue regime trips them. *)
+      List.iter
+        (fun (p, floor) ->
+          check
+            (Printf.sprintf "%s max_queued >= %d" p.Policy.name floor)
+            (worst (fun s -> s.Sim.max_queued) p >= floor))
+        [ (Policy.fcfs, 1000); (Policy.conservative, 500) ]
+    | _ -> ()
 
 type pass_result = {
-  times : ((Policy.t * int) * float array) list;  (** Segment seconds per (policy, stream) replay. *)
+  times : (Policy.t * float) list;  (** Seconds of each policy's replays of every stream, back to back. *)
   words : (Policy.t * float) list;  (** Minor words allocated by each policy's replays. *)
 }
 
-(* What the first pass produced for one (policy, stream): later replays must
-   reproduce the digest, and the validation checks the starts. *)
+(* What the reference pass produced for one (policy, stream): later replays
+   must reproduce the digest, and the validation checks the starts. *)
 type reference = { digest : int; starts : int array }
 
-(* One measured pass: every policy over every stream. The first pass
-   records the references and applies the regime guards. *)
+(* One pass: every policy over every stream. The first pass is the
+   reference: it records the digests and starts, and the regime guards
+   judge it. *)
 let pass spec ~hb_oc ~refs inputs =
   let first = Hashtbl.length refs = 0 in
   let stats = Hashtbl.create 16 in
@@ -331,37 +324,36 @@ let pass spec ~hb_oc ~refs inputs =
     List.map
       (fun p ->
         let w0 = Gc.minor_words () in
-        let times =
-          List.init spec.streams (fun i ->
-              let key = (p.Policy.name, i) in
-              let segs = ref [||] in
-              Common.op (what spec p i) (fun () ->
-                  let o =
-                    replay ~keep_starts:first ~hb_oc ~reservations:inputs.reservations ~n:spec.n p
-                      (stream_path spec i)
-                  in
-                  segs := o.segments;
-                  Hashtbl.replace stats key o.stats;
-                  if first then Hashtbl.replace refs key { digest = o.digest; starts = Option.get o.starts };
-                  Common.checks
-                    [
-                      ("record count", o.records = spec.n);
-                      ("digest equals the first pass", o.digest = (Hashtbl.find refs key).digest);
-                    ]);
-              ((p, i), !segs))
+        let (), t =
+          Common.time (fun () ->
+              for i = 0 to spec.streams - 1 do
+                let key = (p.Policy.name, i) in
+                Common.op (what spec p i) (fun () ->
+                    let o =
+                      replay ~keep_starts:first ~hb_oc ~reservations:inputs.reservations ~n:spec.n p
+                        (stream_path spec i)
+                    in
+                    Hashtbl.replace stats key o.stats;
+                    if first then Hashtbl.replace refs key { digest = o.digest; starts = Option.get o.starts };
+                    Common.checks
+                      [
+                        ("record count", o.records = spec.n);
+                        ("digest equals the reference pass", o.digest = (Hashtbl.find refs key).digest);
+                      ])
+              done)
         in
-        (times, (p, Gc.minor_words () -. w0)))
+        ((p, t), (p, Gc.minor_words () -. w0)))
       Policy.all
   in
   if first then regime_guards spec stats;
-  { times = List.concat_map fst per_policy; words = List.map snd per_policy }
+  { times = List.map fst per_policy; words = List.map snd per_policy }
 
 let solve_all ~what inputs = List.map (fun inst -> Offline.solve_checked ~what inst) inputs.exact
 
-(* After the measured passes: check each whole schedule of the first pass —
-   every job started, no job before its submission, feasibility against the
-   offline instance (same jobs and reservations), and the golden digest of
-   the default seed. *)
+(* After the measured passes: check each whole schedule of the reference
+   pass — every job started, no job before its submission, feasibility
+   against the offline instance (same jobs and reservations), and the
+   golden digest of the default seed. *)
 let validation spec ~seed ~refs inputs =
   for i = 0 to spec.streams - 1 do
     let arrivals = read_back spec i in
@@ -381,59 +373,34 @@ let validation spec ~seed ~refs inputs =
       Policy.all
   done
 
+(* A fixed number of measured passes, the first of them the reference, with
+   the exact rounds spread among them. A policy's replay time is its best
+   pass: the least time its replays of every stream took back to back.
+   Each instance's solve time is likewise its best round. *)
 let run spec ~seed ~seconds =
   let inputs = setup spec ~seed in
-  let resample () = Common.resample_setup (fun () -> setup_once spec ~seed) in
-  resample ();
-  resample ();
   with_hb spec (fun hb_oc ->
       let refs = Hashtbl.create 16 in
+      let passes = Common.passes ~pass_s:spec.pass_s ~seconds in
       let start = Common.now_s () in
-      let deadline = start +. seconds in
-      (* The exact rounds are spread over the run, so that each instance's
-         best round is taken over different states of the host. *)
-      let rounds = ref [] in
-      let round () = rounds := solve_all ~what:(spec.name ^ " exact solve") inputs :: !rounds in
-      let results = ref [] in
-      while List.length !results < min_passes || Common.now_s () < deadline do
-        let due = float_of_int (List.length !rounds) *. seconds /. float_of_int exact_reps in
-        if List.length !rounds < exact_reps && Common.now_s () -. start >= due then round ();
-        results := pass spec ~hb_oc ~refs inputs :: !results;
-        resample ()
-      done;
-      while List.length !rounds < exact_reps do
-        round ()
-      done;
+      let results, rounds, exact_s =
+        Common.measure ~passes ~rounds:exact_rounds
+          ~pass:(fun () -> pass spec ~hb_oc ~refs inputs)
+          ~round:(fun () -> solve_all ~what:(spec.name ^ " exact solve") inputs)
+      in
       let peak_rss_mb = Common.peak_rss_mb () in
-      Printf.eprintf "perfbench: %s seed %d: %d passes in %.1f s\n%!" spec.name seed (List.length !results)
-        (Common.now_s () -. start);
+      Printf.eprintf "perfbench: %s seed %d: %d passes and %d exact rounds (%.1f s) in %.1f s\n%!" spec.name
+        seed passes exact_rounds exact_s (Common.now_s () -. start);
       validation spec ~seed ~refs inputs;
       Common.metric "setup_s" "s" (Common.setup_s ());
       Common.metric "peak_rss_mb" "MB" peak_rss_mb;
-      (* A policy's replay time: for every segment of every stream, the
-         best time over the passes, summed. The host's speed switches
-         between states up to 1.7× apart, in phases of a few to tens of
-         seconds; a segment lasts milliseconds, so across the passes each
-         segment meets the fast state at least once even when no pass ran
-         in it throughout. *)
-      let seconds_of p =
-        List.init spec.streams (fun i ->
-            Array.init segments (fun j ->
-                List.fold_left
-                  (fun a r ->
-                    let t = List.assoc (p, i) r.times in
-                    if j < Array.length t then Float.min a t.(j) else a)
-                  infinity !results)
-            |> Array.fold_left ( +. ) 0.)
-        |> List.fold_left ( +. ) 0.
-      in
       List.iter
         (fun p ->
-          let t = seconds_of p in
+          let t = Common.best (List.map (fun r -> List.assq p r.times) results) in
           Common.metric ("jobs_per_s." ^ Common.policy_key p) "1/s" (float_of_int (spec.streams * spec.n) /. t);
           Common.metric ("schedules_per_s." ^ Common.policy_key p) "1/s" (float_of_int spec.streams /. t))
         Policy.all;
-      Offline.bnb_metrics !rounds)
+      Offline.bnb_metrics rounds)
 
 (* --- Traced run ------------------------------------------------------------- *)
 
