@@ -5,13 +5,18 @@
 open Resa_core
 
 let default_seed = 1235
-let big_count = 4
+let big_count = 8
 let big_n = 2000
 let exact_count = 100
 let exact_rounds = 2
 
 (* Seconds of one measured pass, for [Common.passes]. *)
-let pass_s = 1.6
+let pass_s = 9.5
+
+(* Times a measured pass schedules every instance, by algorithm (1 when
+   absent), so that the cheap algorithms are timed over as much work as
+   the dear ones: an FCFS schedule takes ~7 ms, an EASY one ~340 ms. *)
+let reps = [ ("fcfs", 6); ("lsrc", 2) ]
 
 type inputs = { big : Instance.t list; exact : Instance.t list }
 
@@ -30,31 +35,32 @@ let setup_once ~seed =
 let what a i = Printf.sprintf "campaign %s instance %d" a.Offline.key i
 
 (* One round of exact solves over the whole set. *)
-let solve_all inputs =
-  let solves = List.map (fun inst -> Offline.solve_checked ~what:"campaign exact solve" inst) inputs.exact in
+let solve_all ~scale inputs =
+  let solves = Offline.solve_round ~scale ~what:"campaign exact solve" inputs.exact in
   Common.guard "campaign: every exact instance solved to optimality"
     (List.for_all (function Some (x : Offline.solved) -> x.optimal | None -> true) solves);
   solves
 
-(* One pass: each algorithm over the instances, back to back; returns the
-   seconds each algorithm took. The first pass records every schedule's
-   starts; later passes must reproduce them. *)
-let pass ~first ~run inputs =
-  let record = Hashtbl.length first = 0 in
+(* One pass: each algorithm over the instances, back to back, [reps]
+   times over with [~repeat]; returns the seconds each algorithm took per
+   schedule of every instance, at the reference speed with [~scale]
+   (Common.timed_items). The first schedule of each instance records its
+   starts; every later one must reproduce them. *)
+let pass ~scale ~repeat ~first ~run inputs =
+  let big = Array.of_list inputs.big in
+  let n = Array.length big in
   List.map
     (fun (a : Offline.algo) ->
-      let (), t =
-        Common.time (fun () ->
-            List.iteri
-              (fun i inst ->
-                Common.op (what a i) (fun () ->
-                    let s = run a inst in
-                    if record then Hashtbl.replace first (a.key, i) (Schedule.starts s);
-                    Common.checks
-                      [ ("starts equal the first pass", Schedule.starts s = Hashtbl.find first (a.key, i)) ]))
-              inputs.big)
+      let r = if repeat then Option.value (List.assoc_opt a.key reps) ~default:1 else 1 in
+      let t =
+        Common.timed_total ~scale (r * n) (fun j ->
+            let i = j mod n in
+            Common.op (what a i) (fun () ->
+                let s = run a big.(i) in
+                if not (Hashtbl.mem first (a.key, i)) then Hashtbl.replace first (a.key, i) (Schedule.starts s);
+                Common.checks [ ("starts equal the first pass", Schedule.starts s = Hashtbl.find first (a.key, i)) ]))
       in
-      (a.key, t))
+      (a.key, t /. float_of_int r))
     Offline.algos
 
 (* After the measured passes: the full checks on each schedule of the first
@@ -76,9 +82,10 @@ let validation ~seed ~first inputs =
     Offline.algos
 
 (* A fixed number of measured passes, the first of them the reference, with
-   the exact rounds spread among them. An algorithm's time is its best
-   pass over the four instances; each instance's solve time is its best
-   round. *)
+   the exact rounds spread among them. An algorithm's time is its median
+   over the passes of its time over the instances, at the reference speed
+   (Common.timed_items); each instance's solve time is its median over the
+   rounds. *)
 let run ~seed ~seconds =
   let inputs = Common.time_setup (fun () -> setup_once ~seed) in
   let first = Hashtbl.create 16 in
@@ -86,20 +93,20 @@ let run ~seed ~seconds =
   let start = Common.now_s () in
   let times, rounds, exact_s =
     Common.measure ~passes ~rounds:exact_rounds
-      ~pass:(fun () -> pass ~first ~run:(fun a inst -> a.Offline.run inst) inputs)
-      ~round:(fun () -> solve_all inputs)
+      ~pass:(fun () -> pass ~scale:true ~repeat:true ~first ~run:(fun a inst -> a.Offline.run inst) inputs)
+      ~round:(fun () -> solve_all ~scale:true inputs)
   in
   let peak_rss_mb = Common.peak_rss_mb () in
-  Printf.eprintf "perfbench: campaign seed %d: %d passes and %d exact rounds (%.1f s) in %.1f s\n%!" seed passes
-    exact_rounds exact_s (Common.now_s () -. start);
+  Printf.eprintf "perfbench: campaign seed %d: %d passes and %d exact rounds (%.1f s) in %.1f s%s\n%!" seed
+    passes exact_rounds exact_s (Common.now_s () -. start) (Common.speed_note ());
   validation ~seed ~first inputs;
   Common.metric "setup_s" "s" (Common.setup_s ());
   Common.metric "peak_rss_mb" "MB" peak_rss_mb;
   List.iter
     (fun (a : Offline.algo) ->
-      let best = Common.best (List.map (List.assoc a.key) times) in
-      Common.metric ("jobs_per_s." ^ a.key) "1/s" (float_of_int (big_count * big_n) /. best);
-      Common.metric ("schedules_per_s." ^ a.key) "1/s" (float_of_int big_count /. best))
+      let t = Common.median_of (List.map (List.assoc a.key) times) in
+      Common.metric ("jobs_per_s." ^ a.key) "1/s" (float_of_int (big_count * big_n) /. t);
+      Common.metric ("schedules_per_s." ^ a.key) "1/s" (float_of_int big_count /. t))
     Offline.algos;
   Offline.bnb_metrics rounds
 
@@ -115,8 +122,8 @@ let run_traced ~seed ~seconds =
     let w0 = Gc.minor_words () and major0 = (Gc.quick_stat ()).Gc.major_collections in
     let _, dt =
       Common.time (fun () ->
-          ignore (pass ~first ~run:(fun a inst -> a.Offline.run inst) inputs);
-          solve_all inputs)
+          ignore (pass ~scale:false ~repeat:false ~first ~run:(fun a inst -> a.Offline.run inst) inputs);
+          solve_all ~scale:false inputs)
     in
     if !untraced = [] then begin
       (* Jobs scheduled in a pass: the heuristics' schedules and the solves. *)
@@ -133,8 +140,8 @@ let run_traced ~seed ~seconds =
     let mark = Offline.bnb_mark () in
     let solves, dt =
       Common.time (fun () ->
-          ignore (pass ~first ~run:Offline.run inputs);
-          List.filter_map Fun.id (solve_all inputs))
+          ignore (pass ~scale:false ~repeat:false ~first ~run:Offline.run inputs);
+          List.filter_map Fun.id (solve_all ~scale:false inputs))
     in
     Spans.enabled := false;
     Resa_obs.Prof.disable ();

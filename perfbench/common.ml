@@ -20,6 +20,60 @@ let quantile a q =
 
 let median a = quantile a 0.5
 
+(* --- Times at the reference speed ---------------------------------------
+
+   Every end-to-end time is the seconds of a piece of work scaled by the
+   host's speed around it (Calib), so that a run made while the host is in
+   its slow state reads like one made in its fast state. The host switches
+   state every few seconds, so the work is timed in segments of at least
+   [segment_s]: a kernel sample closes each segment, and it serves as the
+   next segment's sample before. A segment holds one or more whole items
+   (a replay, a schedule, an exact solve); each item's seconds are scaled
+   by its segment's factor. *)
+
+let segment_s = 0.3
+let last_sample = ref None
+let samples = ref []
+
+let sample () =
+  let c = Calib.sample () in
+  samples := c :: !samples;
+  last_sample := Some c;
+  c
+
+(* The calls [f 0], ..., [f (n - 1)], one after another: each one's result,
+   seconds and scale factor. With [~scale:false] no kernel runs and every
+   factor is 1. *)
+let timed_items ~scale n f =
+  let out = Array.make n None in
+  let before = ref (if scale then match !last_sample with Some c -> c | None -> sample () else 0.) in
+  let seg = ref [] and seg_s = ref 0. in
+  let close () =
+    let k =
+      if scale then begin
+        let after = sample () in
+        let k = Calib.scale ~before:!before ~after in
+        before := after;
+        k
+      end
+      else 1.
+    in
+    List.iter (fun (i, v, t) -> out.(i) <- Some (v, t, k)) !seg;
+    seg := [];
+    seg_s := 0.
+  in
+  for i = 0 to n - 1 do
+    let v, t = time (fun () -> f i) in
+    seg := (i, v, t) :: !seg;
+    seg_s := !seg_s +. t;
+    if !seg_s >= segment_s || i = n - 1 then close ()
+  done;
+  Array.map Option.get out
+
+(* The scaled seconds of [n] items together. *)
+let timed_total ~scale n f =
+  Array.fold_left (fun acc ((), t, k) -> acc +. (t *. k)) 0. (timed_items ~scale n f)
+
 (* --- Set-up time and pass counts -------------------------------------------
 
    setup_s is the median of [setup_runs] set-ups made back to back before
@@ -29,43 +83,49 @@ let setup_runs = 7
 let setup_times = ref []
 
 let time_setup f =
-  let v = ref None in
-  for _ = 1 to setup_runs do
-    let x, t = time f in
-    setup_times := t :: !setup_times;
-    v := Some x
-  done;
-  Option.get !v
+  let runs = timed_items ~scale:true setup_runs (fun _ -> f ()) in
+  setup_times := Array.to_list (Array.map (fun (_, t, k) -> t *. k) runs);
+  let v, _, _ = runs.(0) in
+  v
 
 let setup_s () = median (Array.of_list !setup_times)
 
 (* The number of measured passes of a run is fixed by the workload and
    [--seconds], never by how fast the passes go, so that two versions of
-   the program take their best-of over the same number of samples.
-   [pass_s] is the length of one pass when the benchmark was written
-   (2-core x86-64 container), so a run takes about [seconds] there. *)
-let passes ~pass_s ~seconds = max 3 (int_of_float (Float.round (seconds /. pass_s)))
+   the program are measured over the same number of samples. [pass_s] is
+   the length of one pass in the host's fast state when the benchmark was
+   written (2-core x86-64 container), so a run takes about [seconds]
+   there; the slow state stretches it by up to ~1.7x. *)
+let passes ~pass_s ~seconds = max 2 (int_of_float (Float.round (seconds /. pass_s)))
 
-(* Best (smallest) of a list of times. *)
-let best l = List.fold_left Float.min infinity l
+let median_of l = median (Array.of_list l)
+
+(* How the run saw the host, for its log line on stderr. *)
+let speed_note () =
+  if !samples = [] then ""
+  else
+    Printf.sprintf "; kernel median %.2f ms (reference %.2f ms)" (1e3 *. median_of !samples)
+      (1e3 *. Calib.reference_s)
 
 (* The measured part of a run: [passes] calls of [pass], with [rounds]
-   calls of [round] spread evenly among them. Every round starts from a
-   finished major GC cycle, whatever the passes before it left on the
-   heap. Returns the passes' and rounds' results, latest first, and the
-   seconds the rounds took. *)
+   calls of [round] spread evenly among them. The first pass is also the
+   reference the checks compare the others with. Every round starts from
+   a finished major GC cycle, whatever the passes before it left on the
+   heap. Returns the passes' and the rounds' results in the order they
+   ran, and the seconds the rounds took. *)
 let measure ~passes ~rounds ~pass ~round =
   let ps = ref [] and rs = ref [] and round_s = ref 0. in
   for i = 0 to passes - 1 do
     while List.length !rs < (i + 1) * rounds / passes do
       Gc.full_major ();
+      last_sample := None;
       let r, dt = time round in
       rs := r :: !rs;
       round_s := !round_s +. dt
     done;
     ps := pass () :: !ps
   done;
-  (!ps, !rs, !round_s)
+  (List.rev !ps, List.rev !rs, !round_s)
 
 (* The per-policy metric suffix. *)
 let policy_key (p : Resa_sim.Policy.t) = String.lowercase_ascii p.Resa_sim.Policy.name

@@ -24,12 +24,23 @@ let workloads =
         qmax = 128;
         calendar = false;
         pass_s = 1.;
+        reps = [];
       }
   in
   [
-    { base with name = "stable"; default_seed = 4242; n = 20_000; pass_s = 0.67 };
-    { base with name = "overload"; default_seed = 60; streams = 4; n = 3_000; mean_gap = 60.; load = Some 1.10; pass_s = 1.67 };
-    { base with name = "reservations"; default_seed = 75; streams = 2; n = 5_000; qmax = 96; calendar = true; pass_s = 5.8 };
+    { base with name = "stable"; default_seed = 4242; n = 20_000; pass_s = 1.5 };
+    {
+      base with
+      name = "overload";
+      default_seed = 60;
+      streams = 12;
+      n = 2_000;
+      mean_gap = 60.;
+      load = Some 1.5;
+      pass_s = 6.4;
+      reps = [ ("fcfs", 4); ("cons", 2) ];
+    };
+    { base with name = "reservations"; default_seed = 75; streams = 4; n = 5_000; qmax = 96; calendar = true; pass_s = 14.4 };
   ]
 
 let usage () =

@@ -140,19 +140,24 @@ let layer_metrics mark (solves : solved list) =
   Common.metric "bnb.prunes_twin" "count" (float_of_int (Prof.value c_twin - mark.twin0));
   Common.metric "bnb.prunes_fit" "count" (float_of_int (Prof.value c_prune_fit - mark.fit0))
 
+(* One round of exact solves over [insts]; with [~scale] each solve's
+   seconds are at the reference speed (Common.timed_items). *)
+let solve_round ~scale ~what insts =
+  let insts = Array.of_list insts in
+  Common.timed_items ~scale (Array.length insts) (fun i -> solve_checked ~what insts.(i))
+  |> Array.to_list
+  |> List.map (fun (r, _, k) -> Option.map (fun x -> { x with solve_s = x.solve_s *. k }) r)
+
 (* The end-to-end solve-time metrics of several rounds over one instance
-   list: each instance's best time over the rounds (the host's speed
-   switches between states ~1.7× apart every few seconds; the best round
-   sees the program, not the neighbours), then the percentiles over the
-   instances. A failed solve contributes no time. *)
+   list: each instance's median time over the rounds, then the
+   percentiles over the instances. A failed solve contributes no time. *)
 let bnb_metrics (rounds : solved option list list) =
-  let best = Hashtbl.create 128 in
+  let times = Hashtbl.create 128 in
   List.iter
     (List.iteri (fun i -> function
-       | Some x ->
-         Hashtbl.replace best i (Float.min x.solve_s (Option.value (Hashtbl.find_opt best i) ~default:infinity))
+       | Some x -> Hashtbl.replace times i (x.solve_s :: Option.value (Hashtbl.find_opt times i) ~default:[])
        | None -> ()))
     rounds;
-  let ms = Array.of_seq (Seq.map (fun s -> 1e3 *. s) (Hashtbl.to_seq_values best)) in
+  let ms = Array.of_seq (Seq.map (fun l -> 1e3 *. Common.median_of l) (Hashtbl.to_seq_values times)) in
   Common.metric "bnb_solve_ms.p50" "ms" (Common.quantile ms 0.5);
   Common.metric "bnb_solve_ms.p90" "ms" (Common.quantile ms 0.9)

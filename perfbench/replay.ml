@@ -22,6 +22,10 @@ type spec = {
   qmax : int;  (** Job widths are capped here. *)
   calendar : bool;  (** Replay against the fixed reservation calendar. *)
   pass_s : float;  (** Seconds of one measured pass, for [Common.passes]. *)
+  reps : (string * int) list;
+      (** Times a measured pass replays every stream, by policy key (1 when
+          absent), so that the cheap policies are timed over as much work
+          as the dear ones. *)
 }
 
 let m = 128
@@ -242,9 +246,9 @@ let validate ~reservations (arrivals : Swf_stream.arrival list) starts =
 
 (* The exact solver is timed on every workload: here on the first 15
    instances of the fixed exact-solve set (the 19th alone takes ~0.85 s),
-   in twelve rounds spread over the passes. *)
+   in six rounds spread over the passes. *)
 let exact_subset = 15
-let exact_rounds = 12
+let exact_rounds = 6
 
 type inputs = { reservations : Reservation.t list; exact : Instance.t list }
 
@@ -294,8 +298,8 @@ let regime_guards spec stats =
         (fun p -> check (p.Policy.name ^ " max_live <= 1000") (worst (fun s -> s.Sim.max_live) p <= 1000))
         Policy.all
     | "overload" ->
-      (* Seeds 41–70 gave worst-stream peaks of 1666–1892 (FCFS) and
-         1069–1308 (CONS); the floors sit well below, so only a drift out
+      (* Seeds 1–8 gave worst-stream peaks of 1413–1524 (FCFS) and
+         977–1030 (CONS); the floors sit well below, so only a drift out
          of the deep-queue regime trips them. *)
       List.iter
         (fun (p, floor) ->
@@ -314,41 +318,47 @@ type pass_result = {
    must reproduce the digest, and the validation checks the starts. *)
 type reference = { digest : int; starts : int array }
 
-(* One pass: every policy over every stream. The first pass is the
-   reference: it records the digests and starts, and the regime guards
-   judge it. *)
-let pass spec ~hb_oc ~refs inputs =
+let reps spec p = Option.value (List.assoc_opt (Common.policy_key p) spec.reps) ~default:1
+
+(* One pass: every policy over every stream, [reps spec p] times over for
+   policy [p] with [~repeat]; a policy's time and words are per replay of
+   every stream.
+   With [~scale] the times are at the reference speed (Common.timed_items).
+   The first pass is the reference: its first replay of each stream records
+   the digests and starts, and the regime guards judge it. *)
+let pass spec ~scale ~repeat ~hb_oc ~refs inputs =
   let first = Hashtbl.length refs = 0 in
   let stats = Hashtbl.create 16 in
   let per_policy =
     List.map
       (fun p ->
+        let r = if repeat then reps spec p else 1 in
         let w0 = Gc.minor_words () in
-        let (), t =
-          Common.time (fun () ->
-              for i = 0 to spec.streams - 1 do
-                let key = (p.Policy.name, i) in
-                Common.op (what spec p i) (fun () ->
-                    let o =
-                      replay ~keep_starts:first ~hb_oc ~reservations:inputs.reservations ~n:spec.n p
-                        (stream_path spec i)
-                    in
-                    Hashtbl.replace stats key o.stats;
-                    if first then Hashtbl.replace refs key { digest = o.digest; starts = Option.get o.starts };
-                    Common.checks
-                      [
-                        ("record count", o.records = spec.n);
-                        ("digest equals the reference pass", o.digest = (Hashtbl.find refs key).digest);
-                      ])
-              done)
+        let t =
+          Common.timed_total ~scale (r * spec.streams) (fun j ->
+              let i = j mod spec.streams and record = first && j < spec.streams in
+              let key = (p.Policy.name, i) in
+              Common.op (what spec p i) (fun () ->
+                  let o =
+                    replay ~keep_starts:record ~hb_oc ~reservations:inputs.reservations ~n:spec.n p
+                      (stream_path spec i)
+                  in
+                  Hashtbl.replace stats key o.stats;
+                  if record then Hashtbl.replace refs key { digest = o.digest; starts = Option.get o.starts };
+                  Common.checks
+                    [
+                      ("record count", o.records = spec.n);
+                      ("digest equals the reference pass", o.digest = (Hashtbl.find refs key).digest);
+                    ]))
         in
-        ((p, t), (p, Gc.minor_words () -. w0)))
+        let r = float_of_int r in
+        ((p, t /. r), (p, (Gc.minor_words () -. w0) /. r)))
       Policy.all
   in
   if first then regime_guards spec stats;
   { times = List.map fst per_policy; words = List.map snd per_policy }
 
-let solve_all ~what inputs = List.map (fun inst -> Offline.solve_checked ~what inst) inputs.exact
+let solve_all ~scale ~what inputs = Offline.solve_round ~scale ~what inputs.exact
 
 (* After the measured passes: check each whole schedule of the reference
    pass — every job started, no job before its submission, feasibility
@@ -374,9 +384,10 @@ let validation spec ~seed ~refs inputs =
   done
 
 (* A fixed number of measured passes, the first of them the reference, with
-   the exact rounds spread among them. A policy's replay time is its best
-   pass: the least time its replays of every stream took back to back.
-   Each instance's solve time is likewise its best round. *)
+   the exact rounds spread among them. A policy's replay time is its median
+   over the passes of the time its replays of every stream took back to
+   back, at the reference speed (Common.timed_items). Each instance's solve
+   time is likewise its median over the rounds. *)
 let run spec ~seed ~seconds =
   let inputs = setup spec ~seed in
   with_hb spec (fun hb_oc ->
@@ -385,18 +396,18 @@ let run spec ~seed ~seconds =
       let start = Common.now_s () in
       let results, rounds, exact_s =
         Common.measure ~passes ~rounds:exact_rounds
-          ~pass:(fun () -> pass spec ~hb_oc ~refs inputs)
-          ~round:(fun () -> solve_all ~what:(spec.name ^ " exact solve") inputs)
+          ~pass:(fun () -> pass spec ~scale:true ~repeat:true ~hb_oc ~refs inputs)
+          ~round:(fun () -> solve_all ~scale:true ~what:(spec.name ^ " exact solve") inputs)
       in
       let peak_rss_mb = Common.peak_rss_mb () in
-      Printf.eprintf "perfbench: %s seed %d: %d passes and %d exact rounds (%.1f s) in %.1f s\n%!" spec.name
-        seed passes exact_rounds exact_s (Common.now_s () -. start);
+      Printf.eprintf "perfbench: %s seed %d: %d passes and %d exact rounds (%.1f s) in %.1f s%s\n%!"
+        spec.name seed passes exact_rounds exact_s (Common.now_s () -. start) (Common.speed_note ());
       validation spec ~seed ~refs inputs;
       Common.metric "setup_s" "s" (Common.setup_s ());
       Common.metric "peak_rss_mb" "MB" peak_rss_mb;
       List.iter
         (fun p ->
-          let t = Common.best (List.map (fun r -> List.assq p r.times) results) in
+          let t = Common.median_of (List.map (fun r -> List.assq p r.times) results) in
           Common.metric ("jobs_per_s." ^ Common.policy_key p) "1/s" (float_of_int (spec.streams * spec.n) /. t);
           Common.metric ("schedules_per_s." ^ Common.policy_key p) "1/s" (float_of_int spec.streams /. t))
         Policy.all;
@@ -454,7 +465,7 @@ let traced_pass spec ~hb_oc ~refs ~(untraced : pass_result) inputs =
         (p, acc, Array.mapi (fun k v -> v - c0.(k)) c1, stats))
       Policy.all
   in
-  let solves = List.filter_map Fun.id (solve_all ~what:"traced exact solve" inputs) in
+  let solves = List.filter_map Fun.id (solve_all ~scale:false ~what:"traced exact solve" inputs) in
   fun () ->
     let tbl, broken = Spans.aggregate () in
     Common.op "trace: child spans within their parents" (fun () ->
@@ -513,8 +524,8 @@ let run_traced spec ~seed ~seconds =
         let major0 = (Gc.quick_stat ()).Gc.major_collections in
         let r, dt =
           Common.time (fun () ->
-              let r = pass spec ~hb_oc ~refs inputs in
-              ignore (solve_all ~what:"exact solve" inputs);
+              let r = pass spec ~scale:false ~repeat:false ~hb_oc ~refs inputs in
+              ignore (solve_all ~scale:false ~what:"exact solve" inputs);
               r)
         in
         if first then begin
