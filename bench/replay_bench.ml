@@ -39,9 +39,8 @@ let replay_seed = 4242
 let decide_hist = Resa_obs.Metrics.histogram "wall.decide_ns"
 
 let run () =
-  Printf.printf "\n=== PERF: Streaming replay throughput (m=128, mean_gap=150, gc_every=1000) ===\n";
+  Printf.printf "\n=== PERF: Streaming replay throughput (m=128, mean_gap=150) ===\n";
   let m = 128 and max_runtime = 2000 and mean_gap = 150.0 and overestimate = 2.0 in
-  let gc_every = 1000 in
   let sizes = if !Perf.small then [ 20_000 ] else [ 200_000; 1_000_000; 10_000_000 ] in
   let t =
     Resa_stats.Table.create
@@ -60,8 +59,8 @@ let run () =
             let ms = Resa_sim.Metrics.Stream.create ~m ~reservations:[] () in
             let t0 = Resa_obs.Prof.now_ns () in
             let stats =
-              Resa_sim.Simulator.run_stream ~gc_every
-                ~on_record:(Resa_sim.Metrics.Stream.observe ms) ~policy ~m
+              Resa_sim.Simulator.run_stream ~on_record:(Resa_sim.Metrics.Stream.observe ms)
+                ~policy ~m
                 (fun () ->
                   Option.map
                     (fun (a : Resa_swf.Swf_stream.arrival) ->

@@ -339,8 +339,8 @@ let simulate_cmd =
 (* replay                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let replay swf_path m n max_runtime mean_gap seed policy_name overestimate gc_every
-    heartbeat_out hb_every hb_dt prom_out metrics_on max_allocs =
+let replay swf_path m n max_runtime mean_gap seed policy_name overestimate heartbeat_out hb_every
+    hb_dt prom_out metrics_on max_allocs =
   (* --prom needs the registry populated; --metrics asks for it explicitly
      (same switch as RESA_METRICS=1). *)
   if metrics_on || prom_out <> None then Resa_obs.Metrics.enable ();
@@ -416,7 +416,7 @@ let replay swf_path m n max_runtime mean_gap seed policy_name overestimate gc_ev
           let stats =
             try
               with_stream (fun src ->
-                  Resa_sim.Simulator.run_stream ~gc_every ~heartbeat_every:hb_every
+                  Resa_sim.Simulator.run_stream ~heartbeat_every:hb_every
                     ~heartbeat_dt:hb_dt ?on_heartbeat
                     ~on_record:(Resa_sim.Metrics.Stream.observe ms)
                     ~policy ~m
@@ -499,18 +499,6 @@ let replay_cmd =
       & info [ "overestimate" ]
           ~doc:"Mean walltime overestimation factor for synthetic traces (>= 1).")
   in
-  let gc_every =
-    (* The timeline's node arrays grow with the completions elapsed since
-       the last compaction, so this interval sets the replay's peak
-       footprint; 1000 holds a multi-million-job replay near ~13 MB at no
-       measurable throughput cost. *)
-    Arg.(
-      value & opt int 1000
-      & info [ "gc-every" ] ~docv:"K"
-          ~doc:
-            "Compact the capacity timeline every $(docv) job completions (0 disables); \
-             compaction is invisible to scheduling decisions.")
-  in
   let heartbeat_out =
     Arg.(
       value
@@ -570,7 +558,7 @@ let replay_cmd =
           no materialised job list, timeline history GC")
     Term.(
       const replay $ swf $ m $ n $ max_runtime $ mean_gap $ seed_arg $ policy $ overestimate
-      $ gc_every $ heartbeat_out $ hb_every $ hb_dt $ prom_out $ metrics_on $ max_allocs)
+      $ heartbeat_out $ hb_every $ hb_dt $ prom_out $ metrics_on $ max_allocs)
 
 (* ------------------------------------------------------------------ *)
 (* explain                                                             *)

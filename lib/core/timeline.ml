@@ -35,6 +35,7 @@ type t = {
   mutable off : int;
   mutable nodes : int array; (* stride-8 interleaved node records *)
   mutable n_nodes : int;
+  mutable live : int; (* [n_nodes] right after the last [gc]; 1 before any *)
   (* Undo log: packed (lo, hi, delta, checked) quads — internal coordinates
      — of every mutation applied while at least one checkpoint is
      outstanding; [checked] marks capacity-verified [reserve]s, which is
@@ -84,6 +85,7 @@ let create c =
       off = 0;
       nodes = Array.make 512 0;
       n_nodes = 1; (* slot 0 is the nil sentinel *)
+      live = 1;
       ulog = [||];
       ulog_len = 0;
       specs = 0;
@@ -583,8 +585,7 @@ let gc t ~upto =
      bottom-up in one pass over the live segments — O(nodes), not one
      O(log U) [change] descent per segment — into a fresh right-sized array,
      which actually releases the dead nodes (growing back is amortised
-     doubling). Cheap rebuilds are what make frequent span-tied gc viable on
-     the schedulers' plan timelines. *)
+     doubling). Cheap rebuilds are what make {!advance}'s rule affordable. *)
   t.off <- upto;
   if k = 0 then begin
     (* Constant at or after [upto]: the whole timeline is the tail. *)
@@ -641,9 +642,28 @@ let gc t ~upto =
       end
     in
     t.root <- build 0 size
-  end
+  end;
+  t.live <- t.n_nodes
 
 let origin t = t.off
+
+(* One compaction rule, sized by the tree itself (see the .mli). The
+   floor, ~1 MB of nodes or that many dead instants, spares small trees;
+   the relative bounds keep rebuilds amortised when the live set alone —
+   a reservation calendar, a deep CONS plan — is larger than any fixed
+   threshold would be. *)
+let gc_floor = 16384
+
+let advance t ~now =
+  let dead = now - t.off in
+  if
+    (dead > gc_floor && dead > last_breakpoint t - now)
+    || (t.n_nodes > gc_floor && t.n_nodes > 2 * t.live)
+  then begin
+    gc t ~upto:now;
+    true
+  end
+  else false
 
 let of_profile ?horizon p =
   let tail = Profile.final_value p in

@@ -165,7 +165,23 @@ val gc : t -> upto:int -> unit
     (see {!origin}), and position searches ({!earliest_fit}) clamp [from]
     to the origin. Cost: O(live segments · log U). Raises
     [Invalid_argument] when a checkpoint is outstanding (the undo log
-    records origin-relative windows) or [upto < 0]. *)
+    records origin-relative windows) or [upto < 0]. Long-running callers
+    use {!advance}, which decides when this is worth running. *)
+
+val advance : t -> now:int -> bool
+(** [advance t ~now] is the caller's promise that no later query or
+    mutation touches instants before [now]; the timeline then decides on its
+    own whether to compact, and runs [gc ~upto:now] (returning [true]) when
+    either
+    - the dead prefix [now - origin] exceeds both a fixed internal floor
+      (about 1 MB worth of nodes) and the live span [last_breakpoint - now], or
+    - {!node_count} exceeds both that floor and twice the node count the
+      previous {!gc} left.
+
+    Both bounds derive from the tree's own size, so a live set of any size
+    (a dense reservation calendar, a deep plan) is compacted at amortised
+    O(1) per materialised node rather than on every call. Same
+    preconditions as {!gc}: no checkpoint outstanding. *)
 
 val origin : t -> int
 (** The gc rebase origin: mutations must lie at or after it. 0 until the

@@ -246,14 +246,9 @@ let conservative =
       (* The plan accretes one window per job forever; on streamed replays
          that history is the policy's only unbounded state. Planning only
          ever queries at or after [time], so compacting the past is
-         invisible to decisions (and hence to traces). *)
-      (* Node-count trigger rather than a decision cadence: what makes plan
-         operations slow is the tree outgrowing the cache, and mutation
-         garbage accrues with traffic, not with ticks. 16384 nodes is ~1 MB
-         of tree — measured ~10% off CONS replay wall time vs the old
-         every-4096-decisions rebuild, now that [Timeline.gc] rebuilds
-         bottom-up in one pass. *)
-      if Timeline.node_count p > 16384 then Timeline.gc p ~upto:time;
+         invisible to decisions (and hence to traces); the plan decides
+         when it pays. *)
+      ignore (Timeline.advance p ~now:time : bool);
       let n = Jobq.length queue in
       (* Plan newly arrived jobs at their earliest non-delaying start. *)
       for i = !known to n - 1 do

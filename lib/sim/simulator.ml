@@ -59,21 +59,6 @@ let wake_payload = -1
 
 let dummy_job = Job.make ~id:0 ~p:1 ~q:1
 
-(* Maximum distance the timeline's gc origin may trail behind the clock
-   before the engine rebases it on its own. Query descents cost log of the
-   live span, so this caps them near log2(span + horizon) regardless of the
-   caller's [gc_every] setting; the rebase itself is O(live segments) and
-   semantically invisible. *)
-let auto_gc_span = 16384
-
-(* Node-count companion to the span trigger: rebuilding also when the tree
-   outgrows ~1 MB keeps descents inside the cache during congested phases
-   where the span alone would let mutation garbage pile up. Both constants
-   were picked by sweeping CONS/FCFS 200k-job replays: tighter spans pay
-   more in rebuilds than they save in descent depth, looser ones let
-   queries wander a cold tree. *)
-let auto_gc_nodes = 16384
-
 (* The single event loop behind both entry points. Arrivals are pulled from
    [next] (submit times non-decreasing) with one arrival of lookahead;
    everything else matches the former array-based engine event for event:
@@ -251,17 +236,6 @@ let run_core ~obs ~policy ~m ~reservations ~gc_every ~hb_every ~hb_dt ~on_heartb
     incr completions;
     incr events_seen;
     Metrics.incr m_completed;
-    (* Outside any decision checkpoint, with every future query at or
-       after [t]: the history left of now is dead weight. *)
-    if gc_every > 0 && !completions mod gc_every = 0 then begin
-      if Metrics.enabled () then begin
-        let before = Timeline.node_count free in
-        Timeline.gc free ~upto:t;
-        Metrics.incr m_gc_runs;
-        Metrics.add m_gc_reclaimed (max 0 (before - Timeline.node_count free))
-      end
-      else Timeline.gc free ~upto:t
-    end;
     if tracing then Trace.emit obs (Trace.Job_finish { time = t; job = id })
   in
   let rec drain t =
@@ -307,19 +281,18 @@ let run_core ~obs ~policy ~m ~reservations ~gc_every ~hb_every ~hb_dt ~on_heartb
         end
     end
     else begin
+      let done_before = !completions in
       drain t;
-      (* Keep the timeline's live span bounded independently of the caller's
-         [gc_every] cadence: descent depth is log of the span between the gc
-         origin and the horizon, so letting the origin trail far behind [now]
-         taxes every query the policies issue. Rebasing here — outside any
-         checkpoint, with all future traffic at or after [t] — is invisible
-         to decisions and keeps descents shallow. *)
-      if
-        t - Timeline.origin free > auto_gc_span
-        || Timeline.node_count free > auto_gc_nodes
-      then begin
-        Timeline.gc free ~upto:t;
-        Metrics.incr m_gc_runs
+      (* Outside any decision checkpoint, with every future query at or
+         after [t]: the history left of now is dead weight, and the
+         timeline decides when compacting it pays. Every engine gc, forced
+         by [gc_every] or not, is counted here. *)
+      let before = Timeline.node_count free in
+      let force_gc = gc_every > 0 && !completions / gc_every > done_before / gc_every in
+      if force_gc then Timeline.gc free ~upto:t;
+      if force_gc || Timeline.advance free ~now:t then begin
+        Metrics.incr m_gc_runs;
+        Metrics.add m_gc_reclaimed (max 0 (before - Timeline.node_count free))
       end;
       last_t := t;
       View.set_now view t;

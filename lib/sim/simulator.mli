@@ -8,13 +8,18 @@
 
     Free capacity lives in one mutable {!Resa_core.Timeline.t} for the whole
     run; policies access it through a {!View.t}, and every [decide] call runs
-    under a timeline checkpoint that is rolled back afterwards, so trial
-    reservations made while deciding never leak. No persistent profile is
-    rebuilt anywhere — decision path or tracing path: the head-blocked
-    classifier queries the live timeline and a once-per-run
-    reservation-blocked profile built lazily from the instance, and
-    queue-membership checks are O(1) via id hash sets — a decision step
-    costs O((starts + queries) · log U) rather than O(history).
+    under a timeline checkpoint. When the speculative log is exactly the
+    started jobs' reservations (every native policy, almost every decision)
+    it is committed as the authoritative mutation; otherwise it is rolled
+    back and the starts are re-applied one by one — either way no trial
+    reservation leaks. History left of the clock is compacted by
+    {!Resa_core.Timeline.advance}, which decides on its own when that
+    pays. No persistent profile is rebuilt anywhere — decision path or
+    tracing path: the head-blocked classifier queries the live timeline
+    and a once-per-run reservation-blocked profile built lazily from the
+    instance, and queue-membership checks are O(1) via id hash sets — a
+    decision step costs O((starts + queries) · log U) rather than
+    O(history).
 
     The policy's per-run decision function is created at the start of each
     run ([policy.create ~obs]), so planning state cannot leak across runs.
@@ -133,11 +138,12 @@ val run_stream :
     [(job, submit, start)] at the instant the job starts, in start order.
     Memory is O(live jobs + timeline), independent of trace length.
 
-    [gc_every] (default 0 = never) compacts the capacity timeline with
-    [Timeline.gc ~upto:now] every that many completions, bounding the
-    third memory consumer on multi-million-job runs. Compaction is
-    invisible: every simulator and policy access touches windows at or
-    after now.
+    The capacity timeline bounds its own footprint (see
+    {!Resa_core.Timeline.advance}); [gc_every] (default 0 = never) is a
+    forced-cadence hook on top of that, running [Timeline.gc ~upto:now]
+    after the instant of every [gc_every]-th completion. Tests use it to
+    show compaction is invisible: every simulator and policy access
+    touches windows at or after now.
 
     [on_heartbeat] (default: none) attaches a periodic telemetry sampler:
     after processing a decision instant, if at least [heartbeat_every]

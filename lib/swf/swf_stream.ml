@@ -11,24 +11,36 @@ let () =
     | Parse_error { line; msg } -> Some (Printf.sprintf "Swf_stream.Parse_error(line %d: %s)" line msg)
     | _ -> None)
 
+(* 2^32 seconds is 136 years, beyond any archive trace, and small enough
+   that no sum of starts, waits and runtimes the engine forms can overflow. *)
+let max_time = 1 lsl 32
+
 (* Shared kernel with the batch converters: same keep rule, same clamping,
-   ids renumbered consecutively over kept entries. *)
+   ids renumbered consecutively over kept entries. A kept entry must also
+   be replayable: submit times non-decreasing, times within [max_time]. *)
 let of_lines ?(keep_failed = true) ~m next_line =
   let lineno = ref 0 in
   let next_id = ref 0 in
+  let last_submit = ref 0 in
+  let fail msg = raise (Parse_error { line = !lineno; msg }) in
   let rec next () =
     match next_line () with
     | None -> None
     | Some line ->
       incr lineno;
       (match Swf.parse_line line with
-      | Error msg -> raise (Parse_error { line = !lineno; msg })
+      | Error msg -> fail msg
       | Ok None -> next ()
       | Ok (Some e) ->
         if Swf.keep ~keep_failed e then begin
           let id = !next_id in
-          incr next_id;
           let job, submit, estimate = Swf.estimated_of_entry ~m ~id e in
+          if max submit estimate > max_time then
+            fail (Printf.sprintf "submit time or walltime past the bound %d" max_time);
+          if submit < !last_submit then
+            fail (Printf.sprintf "submit time %d before the previous job's %d" submit !last_submit);
+          last_submit := submit;
+          incr next_id;
           Some { job; submit; estimate; job_number = e.job_number }
         end
         else next ())

@@ -28,7 +28,16 @@ type t = unit -> arrival option
 
 exception Parse_error of { line : int; msg : string }
 (** Raised by pulls on a malformed line, with its 1-based line number — the
-    streaming counterpart of [Swf.parse_string]'s [Error]. *)
+    streaming counterpart of [Swf.parse_string]'s [Error]. Line-backed
+    streams ({!of_channel}, {!with_file}, {!of_string}) also raise it on a
+    kept entry the simulator cannot replay: a submit time below the
+    previous kept entry's, or a submit time or walltime above
+    {!max_time}. *)
+
+val max_time : int
+(** Largest submit time and walltime a line-backed stream accepts:
+    [2^32] (136 years in seconds), far beyond any archive trace and far
+    enough below [max_int] that the simulator's sums cannot overflow. *)
 
 val of_channel : ?keep_failed:bool -> m:int -> in_channel -> t
 (** Read lines lazily from a channel. The caller owns the channel and must

@@ -65,6 +65,40 @@ let test_stream_parse_error_line () =
     Alcotest.(check int) "line number" 3 line
   | _ -> Alcotest.fail "Parse_error expected"
 
+(* Entries the simulator cannot replay are input errors at their line, not
+   engine failures later: a decreasing submit, or a time past the bound. *)
+let test_stream_rejects_unreplayable () =
+  let line ~submit ~run ~req =
+    Printf.sprintf "1 %d 0 %d 2 -1 -1 2 %d -1 1 1 1 1 1 1 -1 -1" submit run req
+  in
+  let error_line text =
+    match drain (Swf_stream.of_string ~m:8 text) with
+    | _ -> Alcotest.fail "Parse_error expected"
+    | exception Swf_stream.Parse_error { line; _ } -> line
+  in
+  Alcotest.(check int) "decreasing submit" 3
+    (error_line
+       (String.concat "\n"
+          [
+            line ~submit:100 ~run:5 ~req:10;
+            line ~submit:100 ~run:5 ~req:10;
+            line ~submit:50 ~run:5 ~req:10;
+          ]));
+  Alcotest.(check int) "submit near max_int" 2
+    (error_line
+       (String.concat "\n" [ "; header"; line ~submit:4611686018427387000 ~run:5 ~req:10 ]));
+  Alcotest.(check int) "walltime past the bound" 1
+    (error_line (line ~submit:0 ~run:5 ~req:(Swf_stream.max_time + 1)));
+  (* The bound itself and equal submits are accepted; a negative submit is
+     clamped to 0 as in the batch converters, so it cannot decrease. *)
+  let ok =
+    String.concat "\n"
+      [ line ~submit:(-1) ~run:5 ~req:10; line ~submit:0 ~run:5 ~req:Swf_stream.max_time;
+        line ~submit:Swf_stream.max_time ~run:5 ~req:10 ]
+  in
+  Alcotest.(check (list int)) "accepted submits" [ 0; 0; Swf_stream.max_time ]
+    (List.map (fun (a : Swf_stream.arrival) -> a.submit) (drain (Swf_stream.of_string ~m:8 ok)))
+
 let test_stream_file_roundtrip () =
   let text = synthetic_text 7 ~n:20 in
   let path = Filename.temp_file "resa_stream" ".swf" in
@@ -141,6 +175,88 @@ let engine_props =
           (engines_agree ~gc_every:1 policy);
       ])
     policies
+
+(* A reservation calendar whose capacity tree stays above the timeline's
+   16384-node compaction floor even when compacted: every reservation edge
+   sits at an arbitrary instant of a ~800k-unit horizon, so each needs its
+   own deep path. Fixed node-count triggers rebuilt such a tree on every
+   decision and reclaimed nothing; the self-sizing rule must not. *)
+let calendar_m = 128
+
+let dense_calendar () =
+  let rng = Prng.create ~seed:2007 in
+  List.init 480 (fun i ->
+      Reservation.make ~id:i ~start:((1700 * i) + Prng.int rng ~bound:700) ~p:1000
+        ~q:(calendar_m / 4))
+
+(* Jobs at most half the machine wide always fit beside a reservation, so
+   no head waits for the calendar to end and the replay stays short. *)
+let calendar_jobs () =
+  let rng = Prng.create ~seed:4242 in
+  let clock = ref 0 in
+  List.init 120 (fun id ->
+      clock := !clock + Prng.int rng ~bound:300;
+      let p = Prng.int_incl rng ~lo:1 ~hi:2000 in
+      Simulator.
+        {
+          job = Job.make ~id ~p ~q:(Prng.int_incl rng ~lo:1 ~hi:(calendar_m / 2));
+          submit = !clock;
+          estimate = p + Prng.int rng ~bound:p;
+        })
+
+(* Starts, [Timeline.gc] calls (engine and plan trees alike) and decisions
+   of one replay against the calendar. *)
+let replay_under_calendar ?(gc_every = 0) policy =
+  let starts = ref [] and decisions = ref 0 in
+  let counting =
+    {
+      policy with
+      Policy.create =
+        (fun ~obs ->
+          let decide = policy.Policy.create ~obs in
+          fun ~time ~queue ~free ->
+            incr decisions;
+            decide ~time ~queue ~free);
+    }
+  in
+  let was = Resa_obs.Prof.enabled () in
+  Resa_obs.Prof.enable ();
+  Resa_obs.Prof.reset ();
+  Fun.protect
+    ~finally:(fun () -> if not was then Resa_obs.Prof.disable ())
+    (fun () ->
+      let rest = ref (calendar_jobs ()) in
+      ignore
+        (Simulator.run_stream ~gc_every ~policy:counting ~m:calendar_m
+           ~reservations:(dense_calendar ())
+           ~on_record:(fun r -> starts := (Job.id r.job, r.start) :: !starts)
+           (fun () ->
+             match !rest with
+             | [] -> None
+             | a :: tl ->
+               rest := tl;
+               Some a));
+      let gcs =
+        Option.value ~default:0 (List.assoc_opt "timeline.gc" (Resa_obs.Prof.counters ()))
+      in
+      (List.sort compare !starts, gcs, !decisions))
+
+let test_calendar_gc_bounded () =
+  let calendar = Instance.create_exn ~m:calendar_m ~jobs:[] ~reservations:(dense_calendar ()) in
+  Alcotest.(check bool) "calendar tree above the floor" true
+    (Timeline.node_count (Timeline.of_profile (Instance.availability calendar)) > 16384);
+  List.iter
+    (fun (policy : Policy.t) ->
+      let starts, gcs, decisions = replay_under_calendar policy in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d gcs over %d decisions" policy.Policy.name gcs decisions)
+        true
+        (decisions >= 300 && gcs <= 20);
+      let forced, _, _ = replay_under_calendar ~gc_every:1 policy in
+      Alcotest.(check (list (pair int int)))
+        (policy.Policy.name ^ " starts = gc_every:1 starts")
+        forced starts)
+    [ Policy.fcfs; Policy.conservative ]
 
 let test_stream_validates_arrivals () =
   let job = Job.make ~id:0 ~p:5 ~q:2 in
@@ -239,9 +355,13 @@ let suite =
     prop_reader_oracle;
     prop_reader_oracle_filtered;
     Alcotest.test_case "parse errors carry line numbers" `Quick test_stream_parse_error_line;
+    Alcotest.test_case "unreplayable entries rejected at their line" `Quick
+      test_stream_rejects_unreplayable;
     Alcotest.test_case "file and string streams agree" `Quick test_stream_file_roundtrip;
     Alcotest.test_case "synthetic stream shape and determinism" `Quick test_synthetic_shape;
     Alcotest.test_case "bad arrivals rejected" `Quick test_stream_validates_arrivals;
+    Alcotest.test_case "gc stays rare under a dense reservation calendar" `Quick
+      test_calendar_gc_bounded;
     Alcotest.test_case "empty stream metrics are degenerate" `Quick test_stream_metrics_empty;
     prop_metrics_bitwise;
     prop_jobq_model;

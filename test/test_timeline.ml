@@ -316,6 +316,43 @@ let test_gc_rejects () =
   Timeline.rollback tl m;
   Timeline.gc tl ~upto:3
 
+(* [advance]'s two conditions, each on its own. The floor is 16384 (nodes
+   and dead instants alike). *)
+let test_advance_prefix () =
+  let tl = Timeline.create 8 in
+  Timeline.change tl ~lo:0 ~hi:100_000 ~delta:(-2);
+  Alcotest.(check bool) "prefix at the floor" false (Timeline.advance tl ~now:16384);
+  Alcotest.(check bool) "prefix shorter than the live span" false (Timeline.advance tl ~now:40_000);
+  Alcotest.(check int) "origin unmoved" 0 (Timeline.origin tl);
+  Alcotest.(check bool) "prefix longer than the live span" true (Timeline.advance tl ~now:60_000);
+  Alcotest.(check int) "rebased to now" 60_000 (Timeline.origin tl);
+  Alcotest.(check int) "future intact" 6 (Timeline.value_at tl 99_999);
+  Alcotest.(check bool) "short prefix again" false (Timeline.advance tl ~now:70_000);
+  Alcotest.(check bool) "nothing live" true (Timeline.advance tl ~now:(100_000 + 16_385))
+
+let test_advance_nodes () =
+  let tl = Timeline.create 100 in
+  let k = ref 0 in
+  (* Unit windows at distinct future instants: every one adds nodes, and
+     none of them ever becomes dead, so only the node rule can fire. *)
+  let add () =
+    Timeline.change tl ~lo:(3 * !k) ~hi:((3 * !k) + 1) ~delta:(-1);
+    incr k
+  in
+  while Timeline.node_count tl <= 16384 do
+    Alcotest.(check bool) "below the floor" false (Timeline.advance tl ~now:0);
+    add ()
+  done;
+  Alcotest.(check bool) "over the floor, never compacted" true (Timeline.advance tl ~now:0);
+  let live = Timeline.node_count tl in
+  let bound = max 16384 (2 * live) in
+  while Timeline.node_count tl <= bound do
+    Alcotest.(check bool) "at most twice the live size" false (Timeline.advance tl ~now:0);
+    add ()
+  done;
+  Alcotest.(check bool) "doubled since the last gc" true (Timeline.advance tl ~now:0);
+  Alcotest.(check int) "every window kept" 99 (Timeline.value_at tl (3 * (!k - 1)))
+
 (* Randomized: after arbitrary mutations, gc at a random instant must agree
    with the Profile collapse on the whole line and be invisible to every
    future-window query. *)
@@ -361,6 +398,8 @@ let suite =
     Alcotest.test_case "stale marks rejected" `Quick test_stale_marks_rejected;
     Alcotest.test_case "gc collapses history, preserves the future" `Quick test_gc_collapses_past;
     Alcotest.test_case "gc precondition checks" `Quick test_gc_rejects;
+    Alcotest.test_case "advance: dead prefix vs live span" `Quick test_advance_prefix;
+    Alcotest.test_case "advance: node count vs twice the live size" `Quick test_advance_nodes;
     Tutil.qcheck ~count:500 "gc = to_profile ~from collapse" Tutil.seed_arb gc_is_collapse;
     Tutil.qcheck ~count:500 "nested speculation rolls back to identity" Tutil.seed_arb
       speculation_identity;
