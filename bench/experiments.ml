@@ -355,7 +355,6 @@ let t3 () =
   let m = 64 and n = 250 in
   let rng = Prng.create ~seed:777 in
   let entries = Resa_swf.Swf.generate rng ~m ~n ~max_runtime:200 ~mean_gap:6.0 in
-  let workload = Resa_swf.Swf.to_workload entries ~m in
   (* Admit periodic demo reservations under the alpha cap. *)
   let book = Resa_sim.Reservation_book.create ~m ~alpha:0.5 () in
   let granted = ref 0 and rejected = ref 0 in
@@ -370,8 +369,12 @@ let t3 () =
   done;
   let reservations = Resa_sim.Reservation_book.accepted book in
   Printf.printf "Reservation book: %d granted, %d rejected by the alpha cap.\n\n" !granted !rejected;
+  (* Exact walltimes: planners see the actual runtimes. *)
   let subs =
-    List.map (fun (job, submit) -> Resa_sim.Simulator.{ job; submit }) workload
+    List.map
+      (fun (a : Resa_swf.Swf_stream.arrival) ->
+        Resa_sim.Simulator.{ job = a.job; submit = a.submit; estimate = Job.p a.job })
+      Resa_swf.Swf_stream.(to_list (of_entries ~m entries))
   in
   print_endline Resa_sim.Metrics.header;
   (* One simulation per policy, in parallel; each policy value carries its
@@ -471,13 +474,14 @@ let t4 () =
       Resa_swf.Swf.generate ~overestimate:factor rng ~m:32 ~n:150 ~max_runtime:100
         ~mean_gap:6.0
     in
-    let triples = Resa_swf.Swf.to_estimated_workload entries ~m:32 in
     let subs =
-      List.map (fun (job, submit, _) -> Resa_sim.Simulator.{ job; submit }) triples
+      List.map
+        (fun (a : Resa_swf.Swf_stream.arrival) ->
+          Resa_sim.Simulator.{ job = a.job; submit = a.submit; estimate = a.estimate })
+        Resa_swf.Swf_stream.(to_list (of_entries ~m:32 entries))
     in
-    let estimates = Array.of_list (List.map (fun (_, _, e) -> e) triples) in
     let policy = List.nth Resa_sim.Policy.all policy_idx in
-    let trace = Resa_sim.Simulator.run_estimated ~policy ~m:32 ~estimates subs in
+    let trace = Resa_sim.Simulator.run ~policy ~m:32 subs in
     let s = Resa_sim.Metrics.summarize trace in
     [
       Printf.sprintf "%.1f" factor;

@@ -62,7 +62,9 @@ let simulator_tests =
     let inst = workload 200 in
     let rng = Prng.create ~seed:7 in
     let arr = Arrivals.poisson rng ~n:200 ~mean_gap:5.0 in
-    List.init 200 (fun i -> Resa_sim.Simulator.{ job = Instance.job inst i; submit = arr.(i) })
+    List.init 200 (fun i ->
+        let job = Instance.job inst i in
+        Resa_sim.Simulator.{ job; submit = arr.(i); estimate = Job.p job })
   in
   [
     Test.make ~name:"simulator/easy/n=200"
@@ -198,7 +200,9 @@ let sim_subs n =
   in
   let arr = Arrivals.poisson rng ~n ~mean_gap:16.0 in
   let subs =
-    List.init n (fun i -> Resa_sim.Simulator.{ job = Instance.job inst i; submit = arr.(i) })
+    List.init n (fun i ->
+        let job = Instance.job inst i in
+        Resa_sim.Simulator.{ job; submit = arr.(i); estimate = Job.p job })
   in
   (subs, Array.to_list (Instance.reservations inst))
 

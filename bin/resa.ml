@@ -39,6 +39,13 @@ let jobs_arg =
 
 let apply_jobs = Option.iter Resa_par.set_domains
 
+let swf_rule_doc =
+  Printf.sprintf
+    "Jobs must be listed in non-decreasing submit order, as the SWF standard lists them, with \
+     submit times and requested walltimes at most %d; a line that breaks either rule is \
+     rejected with its line number (exit 2)."
+    Instance.max_time
+
 let read_instance path =
   match if path = "-" then Instance_io.of_string (In_channel.input_all stdin) else Instance_io.read_file path with
   | Ok inst -> inst
@@ -193,21 +200,26 @@ let solve_cmd =
 let simulate swf_path m n max_runtime mean_gap seed policy_name overestimate jobs trace_out
     chrome_out csv_out =
   apply_jobs jobs;
-  let rng = Prng.create ~seed in
-  let entries =
-    match swf_path with
-    | Some path -> (
-      match In_channel.with_open_text path In_channel.input_all |> Resa_swf.Swf.parse_string with
-      | Ok entries -> entries
-      | Error msg ->
-        Printf.eprintf "error: %s\n" msg;
-        exit 2)
-    | None -> Resa_swf.Swf.generate ~overestimate rng ~m ~n ~max_runtime ~mean_gap
+  let arrivals =
+    let module S = Resa_swf.Swf_stream in
+    try
+      match swf_path with
+      | Some path -> S.with_file ~m path S.to_list
+      | None ->
+        let rng = Prng.create ~seed in
+        S.to_list (S.of_entries ~m (Resa_swf.Swf.generate ~overestimate rng ~m ~n ~max_runtime ~mean_gap))
+    with S.Parse_error { line; msg } ->
+      Printf.eprintf "error: line %d: %s\n" line msg;
+      exit 2
   in
-  let triples = Resa_swf.Swf.to_estimated_workload entries ~m in
-  let job_numbers = Resa_swf.Swf.job_numbers entries in
-  let subs = List.map (fun (job, submit, _) -> Resa_sim.Simulator.{ job; submit }) triples in
-  let estimates = Array.of_list (List.map (fun (_, _, e) -> e) triples) in
+  let arrivals, job_numbers =
+    List.split
+      (List.map
+         (fun (a : Resa_swf.Swf_stream.arrival) ->
+           (Resa_sim.Simulator.{ job = a.job; submit = a.submit; estimate = a.estimate }, a.job_number))
+         arrivals)
+  in
+  let job_numbers = Array.of_list job_numbers in
   let policies =
     let open Resa_sim.Policy in
     match String.lowercase_ascii policy_name with
@@ -234,7 +246,7 @@ let simulate swf_path m n max_runtime mean_gap seed policy_name overestimate job
     Resa_par.parallel_map_list
       (fun policy ->
         let obs = if tracing then Resa_obs.Trace.buffer () else Resa_obs.Trace.null in
-        let trace = Resa_sim.Simulator.run_estimated ~obs ~policy ~m ~estimates subs in
+        let trace = Resa_sim.Simulator.run ~obs ~policy ~m arrivals in
         let s = Resa_sim.Metrics.summarize trace in
         ( policy.Resa_sim.Policy.name,
           Resa_sim.Metrics.row ~name:policy.Resa_sim.Policy.name s,
@@ -289,7 +301,10 @@ let simulate swf_path m n max_runtime mean_gap seed policy_name overestimate job
 
 let simulate_cmd =
   let swf =
-    Arg.(value & opt (some string) None & info [ "swf" ] ~docv:"FILE" ~doc:"SWF trace file (otherwise synthetic).")
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "swf" ] ~docv:"FILE" ~doc:("SWF trace file (otherwise synthetic). " ^ swf_rule_doc))
   in
   let m = Arg.(value & opt int 64 & info [ "m" ] ~doc:"Number of machines.") in
   let n = Arg.(value & opt int 200 & info [ "n" ] ~doc:"Synthetic trace length.") in
@@ -478,7 +493,7 @@ let replay_cmd =
       value
       & opt (some string) None
       & info [ "swf" ] ~docv:"FILE"
-          ~doc:"SWF trace file, streamed line by line (otherwise synthetic).")
+          ~doc:("SWF trace file, streamed line by line (otherwise synthetic). " ^ swf_rule_doc))
   in
   let m = Arg.(value & opt int 128 & info [ "m" ] ~doc:"Number of machines.") in
   let n = Arg.(value & opt int 200_000 & info [ "n" ] ~doc:"Synthetic trace length.") in

@@ -35,8 +35,9 @@ let () =
   let entries = Resa_swf.Swf.generate rng ~m:64 ~n:300 ~max_runtime:120 ~mean_gap:2.0 in
   let subs =
     List.map
-      (fun (job, submit) -> Resa_sim.Simulator.{ job; submit })
-      (Resa_swf.Swf.to_workload entries ~m:64)
+      (fun (a : Resa_swf.Swf_stream.arrival) ->
+        Resa_sim.Simulator.{ job = a.job; submit = a.submit; estimate = Job.p a.job })
+      Resa_swf.Swf_stream.(to_list (of_entries ~m:64 entries))
   in
   Printf.printf "Online replay of a synthetic SWF trace (m=64, n=300):\n\n%s\n"
     Resa_sim.Metrics.header;

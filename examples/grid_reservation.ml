@@ -43,7 +43,8 @@ let () =
   let arrivals = Resa_gen.Arrivals.poisson rng ~n:60 ~mean_gap:3.0 in
   let subs =
     List.init 60 (fun i ->
-        Resa_sim.Simulator.{ job = Instance.job inst i; submit = arrivals.(i) })
+        let job = Instance.job inst i in
+        Resa_sim.Simulator.{ job; submit = arrivals.(i); estimate = Job.p job })
   in
 
   (* --- 3. The site scheduler works around the granted reservations. --- *)

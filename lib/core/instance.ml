@@ -6,6 +6,8 @@ type t = {
   avail : Profile.t; (* cached m − U(t): availability is on every hot path *)
 }
 
+let max_time = 1 lsl 32
+
 let build_unavail reservations =
   let deltas =
     Array.fold_left

@@ -10,6 +10,12 @@
 
 type t
 
+val max_time : int
+(** The supported time domain: [2^32] (136 years in seconds), far beyond
+    any archive trace and far enough below [max_int] that no sum of starts,
+    waits and durations the schedulers form can overflow. Input readers
+    (instance files, SWF streams) reject times past it at their line. *)
+
 val create :
   m:int -> jobs:Job.t list -> reservations:Reservation.t list -> (t, string) result
 (** Checks: [m >= 1]; every job fits the machine ([q <= m]); job ids are

@@ -15,8 +15,10 @@ let to_string inst =
 let of_string text =
   let lines = String.split_on_char '\n' text in
   let m = ref None and jobs = ref [] and reservations = ref [] in
+  let n_jobs = ref 0 and n_reservations = ref 0 in
   let error = ref None in
   let fail lineno msg = if !error = None then error := Some (Printf.sprintf "line %d: %s" lineno msg) in
+  let past_bound what = Printf.sprintf "%s past the bound %d" what Instance.max_time in
   List.iteri
     (fun idx line ->
       let lineno = idx + 1 in
@@ -30,14 +32,19 @@ let of_string text =
           | _ -> fail lineno "invalid machine count")
         | [ "job"; p; q ] -> (
           match (int_of_string_opt p, int_of_string_opt q) with
+          | Some p, Some _ when p > Instance.max_time -> fail lineno (past_bound "job runtime")
           | Some p, Some q when p >= 1 && q >= 1 ->
-            jobs := Job.make ~id:(List.length !jobs) ~p ~q :: !jobs
+            jobs := Job.make ~id:!n_jobs ~p ~q :: !jobs;
+            incr n_jobs
           | _ -> fail lineno "invalid job")
         | [ "res"; start; p; q ] -> (
           match (int_of_string_opt start, int_of_string_opt p, int_of_string_opt q) with
+          (* [p] is checked first, so [max_time - p] cannot overflow. *)
+          | Some start, Some p, Some _ when p > Instance.max_time || start > Instance.max_time - p ->
+            fail lineno (past_bound "reservation end")
           | Some start, Some p, Some q when start >= 0 && p >= 1 && q >= 1 ->
-            reservations :=
-              Reservation.make ~id:(List.length !reservations) ~start ~p ~q :: !reservations
+            reservations := Reservation.make ~id:!n_reservations ~start ~p ~q :: !reservations;
+            incr n_reservations
           | _ -> fail lineno "invalid reservation")
         | _ -> fail lineno (Printf.sprintf "unrecognised directive %S" line)
       end)

@@ -14,7 +14,8 @@
 val to_string : Instance.t -> string
 
 val of_string : string -> (Instance.t, string) result
-(** Errors carry 1-based line numbers. *)
+(** Errors carry 1-based line numbers. A job runtime or reservation end
+    past {!Instance.max_time} is an error at its line. *)
 
 val read_file : string -> (Instance.t, string) result
 

@@ -3,8 +3,6 @@ module Trace = Resa_obs.Trace
 module Prof = Resa_obs.Prof
 module Metrics = Resa_obs.Metrics
 
-type submitted = { job : Job.t; submit : int }
-
 type arrival = { job : Job.t; submit : int; estimate : int }
 
 type record = { job : Job.t; submit : int; start : int }
@@ -59,20 +57,22 @@ let wake_payload = -1
 
 let dummy_job = Job.make ~id:0 ~p:1 ~q:1
 
-(* The single event loop behind both entry points. Arrivals are pulled from
-   [next] (submit times non-decreasing) with one arrival of lookahead;
-   everything else matches the former array-based engine event for event:
-   at any instant, due arrivals are admitted first (they used to occupy the
-   lowest heap sequence numbers and therefore popped first), then queued
-   events in push order — so traces are byte-identical across the two entry
-   points (enforced by test/test_stream.ml).
+(* The single event loop behind both entry points, [run] and [run_stream].
+   Arrivals are pulled from [next] (submit times non-decreasing) with one
+   arrival of lookahead; everything else matches the former array-based
+   engine event for event: at any instant, due arrivals are admitted first
+   (they used to occupy the lowest heap sequence numbers and therefore
+   popped first), then queued events in push order — so traces are
+   byte-identical across the two entry points (enforced by
+   test/test_stream.ml). [who] names the entry point in the per-arrival
+   validation errors.
 
    Per-job state lives in struct-of-arrays keyed by a dense slot index
    recycled through a free list, held only while the job is waiting or
    running — a streamed replay's footprint stays proportional to the number
    of *live* jobs rather than the trace length, and the per-event path
    reads flat int arrays instead of chasing a record per job. *)
-let run_core ~obs ~policy ~m ~reservations ~gc_every ~hb_every ~hb_dt ~on_heartbeat ~on_record
+let run_core ~who ~obs ~policy ~m ~reservations ~gc_every ~hb_every ~hb_dt ~on_heartbeat ~on_record
     (next : unit -> arrival option) =
   (* Instance construction validates the machine and the reservation set. *)
   let base = Instance.create_exn ~m ~jobs:[] ~reservations in
@@ -189,20 +189,19 @@ let run_core ~obs ~policy ~m ~reservations ~gc_every ~hb_every ~hb_dt ~on_heartb
       match next () with
       | None -> None
       | Some a as r ->
-        if a.submit < 0 then invalid_arg "Simulator.run_stream: negative submit time";
+        if a.submit < 0 then invalid_arg (who ^ ": negative submit time");
         if a.submit < !last_submit then
-          invalid_arg "Simulator.run_stream: submit times must be non-decreasing";
+          invalid_arg (who ^ ": submit times must be non-decreasing");
         if a.estimate < Job.p a.job then
-          invalid_arg "Simulator.run_stream: estimate below the actual runtime";
-        if Job.q a.job > m then
-          invalid_arg "Simulator.run_stream: job wider than the machine";
+          invalid_arg (who ^ ": estimate below the actual runtime");
+        if Job.q a.job > m then invalid_arg (who ^ ": job wider than the machine");
         last_submit := a.submit;
         ahead := r;
         r)
   in
   let admit t (a : arrival) =
     let id = Job.id a.job in
-    if Hashtbl.mem slot_of id then invalid_arg "Simulator.run_stream: duplicate live job id";
+    if Hashtbl.mem slot_of id then invalid_arg (who ^ ": duplicate live job id");
     let slot = alloc_slot () in
     Hashtbl.replace slot_of id slot;
     (!sjob).(slot) <- a.job;
@@ -501,58 +500,33 @@ let run_stream ?(obs = Trace.null) ?(gc_every = 0) ?(heartbeat_every = 0) ?(hear
     if on_heartbeat <> None && heartbeat_every = 0 && heartbeat_dt = 0 then 65536
     else heartbeat_every
   in
-  run_core ~obs ~policy ~m ~reservations ~gc_every ~hb_every ~hb_dt:heartbeat_dt ~on_heartbeat
-    ~on_record next
+  run_core ~who:"Simulator.run_stream" ~obs ~policy ~m ~reservations ~gc_every ~hb_every
+    ~hb_dt:heartbeat_dt ~on_heartbeat ~on_record next
 
-let run_estimated ?(obs = Trace.null) ~policy ~m ?(reservations = []) ~estimates
-    (submissions : submitted list) =
-  let subs = Array.of_list submissions in
-  let n = Array.length subs in
-  if Array.length estimates <> n then
-    invalid_arg "Simulator.run_estimated: estimates length mismatch";
-  Array.iteri
-    (fun i (s : submitted) ->
-      if s.submit < 0 then invalid_arg "Simulator.run_estimated: negative submit time";
-      if estimates.(i) < Job.p s.job then
-        invalid_arg "Simulator.run_estimated: estimate below the actual runtime")
-    subs;
+let run ?(obs = Trace.null) ~policy ~m ?(reservations = []) (arrivals : arrival list) =
   (* Instance construction validates ids, widths and reservations. *)
   ignore
-    (Instance.create_exn ~m ~jobs:(List.map (fun (s : submitted) -> s.job) submissions)
-       ~reservations
+    (Instance.create_exn ~m ~jobs:(List.map (fun (a : arrival) -> a.job) arrivals) ~reservations
       : Instance.t);
   (* Feed the engine in (submit, index) order — exactly the order the event
      heap used to pop the arrival events it no longer holds. *)
-  let order = Array.init n (fun i -> i) in
-  Array.sort
-    (fun i j ->
-      match Int.compare subs.(i).submit subs.(j).submit with 0 -> Int.compare i j | c -> c)
-    order;
-  let k = ref 0 in
+  let rest = ref (List.stable_sort (fun (a : arrival) b -> Int.compare a.submit b.submit) arrivals) in
   let next () =
-    if !k >= n then None
-    else begin
-      let i = order.(!k) in
-      incr k;
-      Some { job = subs.(i).job; submit = subs.(i).submit; estimate = estimates.(i) }
-    end
+    match !rest with
+    | [] -> None
+    | a :: tl ->
+      rest := tl;
+      Some a
   in
-  let by_id : (int, record) Hashtbl.t = Hashtbl.create (max 16 n) in
+  let by_id : (int, record) Hashtbl.t = Hashtbl.create (max 16 (List.length arrivals)) in
   let stats =
-    run_core ~obs ~policy ~m ~reservations ~gc_every:0 ~hb_every:0 ~hb_dt:0 ~on_heartbeat:None
+    run_core ~who:"Simulator.run" ~obs ~policy ~m ~reservations ~gc_every:0 ~hb_every:0 ~hb_dt:0
+      ~on_heartbeat:None
       ~on_record:(fun r -> Hashtbl.replace by_id (Job.id r.job) r)
       next
   in
-  let records =
-    List.map (fun (s : submitted) -> Hashtbl.find by_id (Job.id s.job)) submissions
-  in
+  let records = List.map (fun (a : arrival) -> Hashtbl.find by_id (Job.id a.job)) arrivals in
   { m; reservations; records; makespan = stats.makespan }
-
-let run ?obs ~policy ~m ?(reservations = []) (submissions : submitted list) =
-  let estimates =
-    Array.of_list (List.map (fun (s : submitted) -> Job.p s.job) submissions)
-  in
-  run_estimated ?obs ~policy ~m ~reservations ~estimates submissions
 
 let to_offline trace =
   let jobs =

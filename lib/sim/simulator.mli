@@ -32,8 +32,9 @@
 
     {2 Observability}
 
-    Both entry points take an optional tracer [?obs] (default
-    {!Resa_obs.Trace.null}). With a live sink the simulator emits, in
+    Both entry points — {!run} over a list, {!run_stream} over a pull
+    iterator, one engine behind them — take an optional tracer [?obs]
+    (default {!Resa_obs.Trace.null}). With a live sink the simulator emits, in
     deterministic order: [Job_submit] / [Job_finish] while draining events,
     one [Decision] per decision instant, one [Job_start] per started job
     carrying its wait time and provenance ([Started_now] when it started in
@@ -48,11 +49,13 @@
 
 open Resa_core
 
-type submitted = { job : Job.t; submit : int }
-
 type arrival = { job : Job.t; submit : int; estimate : int }
-(** One streamed submission: the actual job, its submit time and the
-    requested walltime ([estimate >= Job.p job]). *)
+(** One submission: the actual job, its submit time and the requested
+    walltime ([estimate >= Job.p job]). Policies see and plan with the
+    estimate; the job completes after its true runtime, and the capacity
+    reserved for the unused tail is released at completion — the mechanism
+    behind backfilling's sensitivity to user walltime overestimation.
+    Exact walltimes are [estimate = Job.p job]. *)
 
 type record = { job : Job.t; submit : int; start : int }
 
@@ -98,26 +101,15 @@ val run :
   policy:Policy.t ->
   m:int ->
   ?reservations:Reservation.t list ->
-  submitted list ->
+  arrival list ->
   trace
-(** Simulate to completion. Jobs must have distinct ids, [q <= m] and
-    non-negative submit times; reservations must fit the machine. *)
-
-val run_estimated :
-  ?obs:Resa_obs.Trace.t ->
-  policy:Policy.t ->
-  m:int ->
-  ?reservations:Reservation.t list ->
-  estimates:int array ->
-  submitted list ->
-  trace
-(** Like {!run}, but jobs carry a *requested* walltime [estimates.(i) >=
-    actual p] (one per submission, in order): policies see and plan with the
-    estimate, the job actually completes after its true runtime, and the
-    capacity reserved for the unused tail is released at completion — the
-    mechanism behind backfilling's well-known sensitivity to user walltime
-    overestimation. [run] is the special case [estimates = actual]. The
-    returned records carry the *actual* jobs. *)
+(** Batch entry: simulate the arrivals to completion and return every
+    record, in input order, carrying the {e actual} jobs. Jobs must have
+    distinct ids and [q <= m] ([Instance.create_exn] checks them, and the
+    reservations, up front); the arrivals may come in any order and are
+    fed to the {!run_stream} engine sorted by (submit, position), whose
+    per-arrival checks (negative submit, estimate below runtime) raise
+    [Invalid_argument] at the offending arrival. *)
 
 val run_stream :
   ?obs:Resa_obs.Trace.t ->
@@ -155,8 +147,8 @@ val run_stream :
     the run is byte-identical to one without the feature. Cadences must
     be non-negative ([Invalid_argument] otherwise).
 
-    Semantics are those of {!run_estimated} on the drained arrival list:
-    same decisions, same starts, and byte-identical [?obs] traces — at any
+    Semantics are those of {!run} on the drained arrival list: same
+    decisions, same starts, and byte-identical [?obs] traces — at any
     instant due arrivals are admitted before heap events, exactly the order
     the array engine's FIFO-stable heap produced (enforced by the
     differential suite in [test/test_stream.ml], including under

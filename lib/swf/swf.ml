@@ -113,18 +113,6 @@ let parse_line line =
     end
   end
 
-let parse_string text =
-  let lines = String.split_on_char '\n' text in
-  let rec go lineno acc = function
-    | [] -> Ok (List.rev acc)
-    | line :: rest -> (
-      match parse_line line with
-      | Ok None -> go (lineno + 1) acc rest
-      | Ok (Some e) -> go (lineno + 1) (e :: acc) rest
-      | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg))
-  in
-  go 1 [] lines
-
 let to_line e =
   Printf.sprintf "%d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d" e.job_number e.submit
     e.wait e.run e.alloc_procs e.avg_cpu e.used_mem e.req_procs e.req_time e.req_mem e.status
@@ -139,22 +127,6 @@ let to_string ?(comments = []) entries =
       Buffer.add_char buf '\n')
     entries;
   Buffer.contents buf
-
-(* Entries with neither a positive runtime nor a positive request carry no
-   work at all (jobs cancelled before starting, archive status 0/5 stubs);
-   converting them used to fabricate phantom 1-second jobs via [max 1]. *)
-let carries_work e = e.run > 0 || e.req_time > 0
-
-let keep ~keep_failed e = carries_work e && (keep_failed || e.status <> 0)
-
-let to_workload ?(keep_failed = true) entries ~m =
-  List.filter (keep ~keep_failed) entries
-  |> List.mapi (fun i e ->
-         let q0 = if e.req_procs > 0 then e.req_procs else e.alloc_procs in
-         let q = max 1 (min m q0) in
-         let p0 = if e.run > 0 then e.run else e.req_time in
-         let p = max 1 p0 in
-         (Job.make ~id:i ~p ~q, max 0 e.submit))
 
 let of_workload triples =
   List.mapi
@@ -171,19 +143,6 @@ let of_workload triples =
         status = 1;
       })
     triples
-
-let estimated_of_entry ~m ~id e =
-  let q0 = if e.req_procs > 0 then e.req_procs else e.alloc_procs in
-  let q = max 1 (min m q0) in
-  let p = max 1 e.run in
-  let est = max p e.req_time in
-  (Job.make ~id ~p ~q, max 0 e.submit, est)
-
-let to_estimated_workload ?(keep_failed = true) entries ~m =
-  List.filter (keep ~keep_failed) entries |> List.mapi (fun i e -> estimated_of_entry ~m ~id:i e)
-
-let job_numbers ?(keep_failed = true) entries =
-  List.filter (keep ~keep_failed) entries |> List.map (fun e -> e.job_number) |> Array.of_list
 
 let generate ?(overestimate = 1.0) rng ~m ~n ~max_runtime ~mean_gap =
   if overestimate < 1.0 then invalid_arg "Swf.generate: overestimate must be >= 1.0";

@@ -11,39 +11,51 @@ let () =
     | Parse_error { line; msg } -> Some (Printf.sprintf "Swf_stream.Parse_error(line %d: %s)" line msg)
     | _ -> None)
 
-(* 2^32 seconds is 136 years, beyond any archive trace, and small enough
-   that no sum of starts, waits and runtimes the engine forms can overflow. *)
-let max_time = 1 lsl 32
+let fail line fmt = Printf.ksprintf (fun msg -> raise (Parse_error { line; msg })) fmt
 
-(* Shared kernel with the batch converters: same keep rule, same clamping,
-   ids renumbered consecutively over kept entries. A kept entry must also
-   be replayable: submit times non-decreasing, times within [max_time]. *)
-let of_lines ?(keep_failed = true) ~m next_line =
-  let lineno = ref 0 in
+(* Entries with neither a positive runtime nor a positive request carry no
+   work at all (jobs cancelled before starting, archive status 0/5 stubs);
+   converting them would fabricate phantom 1-second jobs. Failed jobs
+   (status 0) occupied the machine, so they stay unless asked otherwise. *)
+let keep ~keep_failed (e : Swf.entry) = (e.run > 0 || e.req_time > 0) && (keep_failed || e.status <> 0)
+
+(* The one convert-and-check kernel behind every source of entries. A kept
+   entry becomes an arrival: width [req_procs] (falling back to
+   [alloc_procs]) clamped to [1, m], runtime at least 1, walltime at least
+   the runtime, submit clamped to [>= 0], ids renumbered consecutively over
+   kept entries. It must also be replayable: submit times non-decreasing,
+   times within [Instance.max_time]; otherwise [Parse_error] at [line]. *)
+let converter ~keep_failed ~m =
   let next_id = ref 0 in
   let last_submit = ref 0 in
-  let fail msg = raise (Parse_error { line = !lineno; msg }) in
+  fun ~line (e : Swf.entry) ->
+    if not (keep ~keep_failed e) then None
+    else begin
+      let q0 = if e.req_procs > 0 then e.req_procs else e.alloc_procs in
+      let p = max 1 e.run in
+      let submit = max 0 e.submit and estimate = max p e.req_time in
+      if max submit estimate > Instance.max_time then
+        fail line "submit time or walltime past the bound %d" Instance.max_time;
+      if submit < !last_submit then
+        fail line "submit time %d before the previous job's %d" submit !last_submit;
+      last_submit := submit;
+      let id = !next_id in
+      incr next_id;
+      Some { job = Job.make ~id ~p ~q:(max 1 (min m q0)); submit; estimate; job_number = e.job_number }
+    end
+
+let of_lines ?(keep_failed = true) ~m next_line =
+  let convert = converter ~keep_failed ~m in
+  let lineno = ref 0 in
   let rec next () =
     match next_line () with
     | None -> None
-    | Some line ->
+    | Some line -> (
       incr lineno;
-      (match Swf.parse_line line with
-      | Error msg -> fail msg
+      match Swf.parse_line line with
+      | Error msg -> fail !lineno "%s" msg
       | Ok None -> next ()
-      | Ok (Some e) ->
-        if Swf.keep ~keep_failed e then begin
-          let id = !next_id in
-          let job, submit, estimate = Swf.estimated_of_entry ~m ~id e in
-          if max submit estimate > max_time then
-            fail (Printf.sprintf "submit time or walltime past the bound %d" max_time);
-          if submit < !last_submit then
-            fail (Printf.sprintf "submit time %d before the previous job's %d" submit !last_submit);
-          last_submit := submit;
-          incr next_id;
-          Some { job; submit; estimate; job_number = e.job_number }
-        end
-        else next ())
+      | Ok (Some e) -> ( match convert ~line:!lineno e with None -> next () | a -> a))
   in
   next
 
@@ -62,20 +74,15 @@ let with_file ?keep_failed ~m path f =
   In_channel.with_open_text path (fun ic -> f (of_channel ?keep_failed ~m ic))
 
 let of_entries ?(keep_failed = true) ~m entries =
-  let remaining = ref entries in
-  let next_id = ref 0 in
+  let convert = converter ~keep_failed ~m in
+  let remaining = ref entries and pos = ref 0 in
   let rec next () =
     match !remaining with
     | [] -> None
-    | e :: rest ->
+    | e :: rest -> (
       remaining := rest;
-      if Swf.keep ~keep_failed e then begin
-        let id = !next_id in
-        incr next_id;
-        let job, submit, estimate = Swf.estimated_of_entry ~m ~id e in
-        Some { job; submit; estimate; job_number = e.job_number }
-      end
-      else next ()
+      incr pos;
+      match convert ~line:!pos e with None -> next () | a -> a)
   in
   next
 

@@ -41,6 +41,28 @@ let test_semantic_errors_propagate () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "overbooked reservations accepted"
 
+let test_time_bound () =
+  (* Times past [Instance.max_time] are input errors at their line, not
+     overflows later: a huge runtime, a huge reservation, and a reservation
+     whose start and length fit but whose end does not. *)
+  let error_of text =
+    match Instance_io.of_string text with Error msg -> msg | Ok _ -> "accepted"
+  in
+  let bound = Instance.max_time in
+  List.iter
+    (fun (name, line) ->
+      let msg = error_of ("m 4\njob 1 1\n" ^ line ^ "\n") in
+      Alcotest.(check string) name "line 3:" (String.sub msg 0 (min 7 (String.length msg))))
+    [
+      ("huge runtime", "job 4611686018427387000 2");
+      ("huge reservation", "res 4611686018427387000 4611686018427387000 3");
+      ("reservation end past the bound", Printf.sprintf "res %d 2 3" (bound - 1));
+    ];
+  (* The bound itself is inside the domain. *)
+  match Instance_io.of_string (Printf.sprintf "m 4\njob %d 1\nres %d 2 3\n" bound (bound - 2)) with
+  | Ok inst -> Alcotest.(check int) "jobs" 1 (Instance.n_jobs inst)
+  | Error msg -> Alcotest.fail msg
+
 let prop_round_trip =
   Tutil.qcheck ~count:100 "instance files round trip" Tutil.seed_arb (fun seed ->
       let inst = Tutil.small_resa_of_seed seed in
@@ -60,5 +82,6 @@ let suite =
     Alcotest.test_case "print/parse round trip" `Quick test_round_trip;
     Alcotest.test_case "errors cite line numbers" `Quick test_errors_cite_lines;
     Alcotest.test_case "semantic validation applies" `Quick test_semantic_errors_propagate;
+    Alcotest.test_case "out-of-range times are rejected" `Quick test_time_bound;
     prop_round_trip;
   ]

@@ -15,7 +15,7 @@ let workload ?(seed = 77) ?(n = 25) ?(m = 8) () =
   let inst = Resa_gen.Random_inst.alpha_restricted rng ~m ~n ~alpha:0.5 ~pmax:9 () in
   let arr = Resa_gen.Arrivals.poisson rng ~n ~mean_gap:2.0 in
   let subs =
-    List.init n (fun i -> Simulator.{ job = Instance.job inst i; submit = arr.(i) })
+    List.init n (fun i -> Tutil.exact (Instance.job inst i) ~submit:arr.(i))
   in
   (subs, Array.to_list (Instance.reservations inst))
 
@@ -195,9 +195,9 @@ let test_backfill_provenance () =
   (* The EASY example from test_sim: j2 backfills past the blocked head j1. *)
   let subs =
     [
-      Simulator.{ job = Job.make ~id:0 ~p:4 ~q:3; submit = 0 };
-      Simulator.{ job = Job.make ~id:1 ~p:4 ~q:4; submit = 0 };
-      Simulator.{ job = Job.make ~id:2 ~p:4 ~q:1; submit = 0 };
+      Tutil.exact (Job.make ~id:0 ~p:4 ~q:3) ~submit:0;
+      Tutil.exact (Job.make ~id:1 ~p:4 ~q:4) ~submit:0;
+      Tutil.exact (Job.make ~id:2 ~p:4 ~q:1) ~submit:0;
     ]
   in
   let obs = Trace.buffer () in
@@ -229,7 +229,7 @@ let test_reservation_blocked_provenance () =
   (* One reservation holds the whole machine over [0,5): the head is blocked
      by it, not by running jobs. *)
   let resv = [ Reservation.make ~id:0 ~start:0 ~p:5 ~q:4 ] in
-  let subs = [ Simulator.{ job = Job.make ~id:0 ~p:3 ~q:2; submit = 0 } ] in
+  let subs = [ Tutil.exact (Job.make ~id:0 ~p:3 ~q:2) ~submit:0 ] in
   let obs = Trace.buffer () in
   let _ = Simulator.run ~obs ~policy:Policy.fcfs ~m:4 ~reservations:resv subs in
   let reasons =
@@ -364,8 +364,8 @@ let test_policy_error_messages () =
   in
   let subs =
     [
-      Simulator.{ job = Job.make ~id:0 ~p:2 ~q:2; submit = 0 };
-      Simulator.{ job = Job.make ~id:1 ~p:2 ~q:2; submit = 0 };
+      Tutil.exact (Job.make ~id:0 ~p:2 ~q:2) ~submit:0;
+      Tutil.exact (Job.make ~id:1 ~p:2 ~q:2) ~submit:0;
     ]
   in
   (match Simulator.run ~policy:overcommit ~m:2 subs with

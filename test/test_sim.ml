@@ -66,7 +66,7 @@ let test_heap_pop_clears_slots () =
 
 let submit_all_at inst t0 =
   List.init (Instance.n_jobs inst) (fun i ->
-      Simulator.{ job = Instance.job inst i; submit = t0 })
+      Tutil.exact (Instance.job inst i) ~submit:t0)
 
 let test_aggressive_equals_offline_lsrc () =
   (* With everything submitted at 0, the aggressive policy IS LSRC. *)
@@ -97,8 +97,8 @@ let test_arrival_order_respected () =
   (* A job cannot start before it is submitted, whatever the policy. *)
   let subs =
     [
-      Simulator.{ job = Job.make ~id:0 ~p:2 ~q:1; submit = 0 };
-      Simulator.{ job = Job.make ~id:1 ~p:2 ~q:1; submit = 7 };
+      Tutil.exact (Job.make ~id:0 ~p:2 ~q:1) ~submit:0;
+      Tutil.exact (Job.make ~id:1 ~p:2 ~q:1) ~submit:7;
     ]
   in
   List.iter
@@ -116,7 +116,7 @@ let test_policies_feasible_with_reservations () =
   let inst = Resa_gen.Random_inst.alpha_restricted rng ~m:12 ~n:15 ~alpha:0.5 ~pmax:8 () in
   let arrivals = Resa_gen.Arrivals.poisson rng ~n:15 ~mean_gap:3.0 in
   let subs =
-    List.init 15 (fun i -> Simulator.{ job = Instance.job inst i; submit = arrivals.(i) })
+    List.init 15 (fun i -> Tutil.exact (Instance.job inst i) ~submit:arrivals.(i))
   in
   List.iter
     (fun policy ->
@@ -137,9 +137,9 @@ let test_conservative_policy_plans_hold () =
   (* Deterministic example: plans must not shift when later jobs arrive. *)
   let subs =
     [
-      Simulator.{ job = Job.make ~id:0 ~p:4 ~q:4; submit = 0 };
-      Simulator.{ job = Job.make ~id:1 ~p:4 ~q:4; submit = 1 };
-      Simulator.{ job = Job.make ~id:2 ~p:1 ~q:1; submit = 2 };
+      Tutil.exact (Job.make ~id:0 ~p:4 ~q:4) ~submit:0;
+      Tutil.exact (Job.make ~id:1 ~p:4 ~q:4) ~submit:1;
+      Tutil.exact (Job.make ~id:2 ~p:1 ~q:1) ~submit:2;
     ]
   in
   let trace = Simulator.run ~policy:Policy.conservative ~m:4 subs in
@@ -151,9 +151,9 @@ let test_conservative_policy_plans_hold () =
 let test_easy_policy_backfills () =
   let subs =
     [
-      Simulator.{ job = Job.make ~id:0 ~p:4 ~q:3; submit = 0 };
-      Simulator.{ job = Job.make ~id:1 ~p:4 ~q:4; submit = 0 };
-      Simulator.{ job = Job.make ~id:2 ~p:4 ~q:1; submit = 0 };
+      Tutil.exact (Job.make ~id:0 ~p:4 ~q:3) ~submit:0;
+      Tutil.exact (Job.make ~id:1 ~p:4 ~q:4) ~submit:0;
+      Tutil.exact (Job.make ~id:2 ~p:4 ~q:1) ~submit:0;
     ]
   in
   let trace = Simulator.run ~policy:Policy.easy ~m:4 subs in
@@ -174,8 +174,8 @@ let test_policy_error_on_rogue_policy () =
   in
   let subs =
     [
-      Simulator.{ job = Job.make ~id:0 ~p:2 ~q:2; submit = 0 };
-      Simulator.{ job = Job.make ~id:1 ~p:2 ~q:2; submit = 0 };
+      Tutil.exact (Job.make ~id:0 ~p:2 ~q:2) ~submit:0;
+      Tutil.exact (Job.make ~id:1 ~p:2 ~q:2) ~submit:0;
     ]
   in
   match Simulator.run ~policy:rogue ~m:2 subs with
@@ -183,7 +183,7 @@ let test_policy_error_on_rogue_policy () =
   | _ -> Alcotest.fail "capacity violation not caught"
 
 let test_simulator_rejects_bad_input () =
-  let subs = [ Simulator.{ job = Job.make ~id:0 ~p:1 ~q:5 ; submit = 0 } ] in
+  let subs = [ Tutil.exact (Job.make ~id:0 ~p:1 ~q:5) ~submit:0 ] in
   match Simulator.run ~policy:Policy.fcfs ~m:2 subs with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "oversized job accepted"
@@ -196,7 +196,7 @@ let prop_all_policies_sound =
       let inst = Resa_gen.Random_inst.alpha_restricted rng ~m:8 ~n:8 ~alpha:0.5 ~pmax:5 () in
       let arr = Resa_gen.Arrivals.uniform (Prng.create ~seed:s2) ~n:8 ~horizon:20 in
       let subs =
-        List.init 8 (fun i -> Simulator.{ job = Instance.job inst i; submit = arr.(i) })
+        List.init 8 (fun i -> Tutil.exact (Instance.job inst i) ~submit:arr.(i))
       in
       List.for_all
         (fun policy ->
@@ -215,8 +215,8 @@ let prop_all_policies_sound =
 let test_metrics_values () =
   let subs =
     [
-      Simulator.{ job = Job.make ~id:0 ~p:4 ~q:2; submit = 0 };
-      Simulator.{ job = Job.make ~id:1 ~p:2 ~q:2; submit = 0 };
+      Tutil.exact (Job.make ~id:0 ~p:4 ~q:2) ~submit:0;
+      Tutil.exact (Job.make ~id:1 ~p:2 ~q:2) ~submit:0;
     ]
   in
   let trace = Simulator.run ~policy:Policy.fcfs ~m:2 subs in
@@ -240,8 +240,8 @@ let test_bounded_slowdown_bound () =
   (* Very short job with a long wait: bounded slowdown caps the explosion. *)
   let subs =
     [
-      Simulator.{ job = Job.make ~id:0 ~p:100 ~q:2; submit = 0 };
-      Simulator.{ job = Job.make ~id:1 ~p:1 ~q:2; submit = 0 };
+      Tutil.exact (Job.make ~id:0 ~p:100 ~q:2) ~submit:0;
+      Tutil.exact (Job.make ~id:1 ~p:1 ~q:2) ~submit:0;
     ]
   in
   let trace = Simulator.run ~policy:Policy.fcfs ~m:2 subs in
@@ -297,45 +297,50 @@ let test_book_keeps_alpha_restriction () =
 (* --- walltime estimates --- *)
 
 let test_estimated_equals_exact_when_accurate () =
+  (* With exact walltimes and every job released at 0, no tail is ever
+     released early: each policy takes its offline algorithm's decisions,
+     start for start. *)
   let rng = Prng.create ~seed:51 in
   let inst = Resa_gen.Random_inst.cluster_workload rng ~m:8 ~n:12 ~max_runtime:20 in
   let subs = submit_all_at inst 0 in
-  let estimates = Array.init 12 (fun i -> Job.p (Instance.job inst i)) in
   List.iter
-    (fun policy ->
+    (fun (policy, offline) ->
+      let starts () =
+        List.map (fun (r : Simulator.record) -> r.start) (Simulator.run ~policy ~m:8 subs).records
+      in
+      let a = starts () in
+      Alcotest.(check (list int)) policy.Policy.name (Array.to_list (Schedule.starts (offline inst))) a;
       (* Reusing one policy value across runs must be safe: [create] scopes
          the planning state per run. *)
-      let a = Simulator.run ~policy ~m:8 subs in
-      let b = Simulator.run_estimated ~policy ~m:8 ~estimates subs in
-      List.iter2
-        (fun (ra : Simulator.record) (rb : Simulator.record) ->
-          Alcotest.(check int) "same start" ra.start rb.start)
-        a.records b.records)
-    [ Policy.fcfs; Policy.easy; Policy.conservative; Policy.aggressive ]
+      Alcotest.(check (list int)) "policy value reused" a (starts ()))
+    [
+      (Policy.fcfs, fun i -> Resa_algos.Fcfs.run i);
+      (Policy.easy, fun i -> Resa_algos.Backfill.easy i);
+      (Policy.conservative, fun i -> Resa_algos.Backfill.conservative i);
+      (Policy.aggressive, fun i -> Resa_algos.Lsrc.run i);
+    ]
 
 let test_early_release_unblocks_follower () =
   (* Job 0 requests 10 but runs 2; job 1 needs the whole machine and starts
      the moment the tail is released. *)
   let subs =
     [
-      Simulator.{ job = Job.make ~id:0 ~p:2 ~q:2; submit = 0 };
-      Simulator.{ job = Job.make ~id:1 ~p:3 ~q:2; submit = 0 };
+      Simulator.{ job = Job.make ~id:0 ~p:2 ~q:2; submit = 0; estimate = 10 };
+      Tutil.exact (Job.make ~id:1 ~p:3 ~q:2) ~submit:0;
     ]
   in
-  let trace =
-    Simulator.run_estimated ~policy:Policy.fcfs ~m:2 ~estimates:[| 10; 3 |] subs
-  in
+  let trace = Simulator.run ~policy:Policy.fcfs ~m:2 subs in
   let starts = List.map (fun (r : Simulator.record) -> r.start) trace.records in
   Alcotest.(check (list int)) "follower starts at the actual completion" [ 0; 2 ] starts
 
 let test_estimates_validated () =
-  let subs = [ Simulator.{ job = Job.make ~id:0 ~p:5 ~q:1; submit = 0 } ] in
+  let job = Job.make ~id:0 ~p:5 ~q:1 in
+  let run a = ignore (Simulator.run ~policy:Policy.fcfs ~m:2 [ a ]) in
   Alcotest.check_raises "estimate below runtime"
-    (Invalid_argument "Simulator.run_estimated: estimate below the actual runtime") (fun () ->
-      ignore (Simulator.run_estimated ~policy:Policy.fcfs ~m:2 ~estimates:[| 3 |] subs));
-  Alcotest.check_raises "wrong length"
-    (Invalid_argument "Simulator.run_estimated: estimates length mismatch") (fun () ->
-      ignore (Simulator.run_estimated ~policy:Policy.fcfs ~m:2 ~estimates:[| 5; 5 |] subs))
+    (Invalid_argument "Simulator.run: estimate below the actual runtime") (fun () ->
+      run Simulator.{ job; submit = 0; estimate = 3 });
+  Alcotest.check_raises "negative submit" (Invalid_argument "Simulator.run: negative submit time")
+    (fun () -> run Simulator.{ job; submit = -1; estimate = 5 })
 
 let prop_estimated_executions_feasible =
   Tutil.qcheck ~count:60 "all policies stay feasible under overestimates"
@@ -350,11 +355,12 @@ let prop_estimated_executions_feasible =
       in
       let arr = Resa_gen.Arrivals.uniform erng ~n:10 ~horizon:25 in
       let subs =
-        List.init 10 (fun i -> Simulator.{ job = Instance.job inst i; submit = arr.(i) })
+        List.init 10 (fun i ->
+            Simulator.{ job = Instance.job inst i; submit = arr.(i); estimate = estimates.(i) })
       in
       List.for_all
         (fun policy ->
-          let trace = Simulator.run_estimated ~policy ~m:8 ~estimates subs in
+          let trace = Simulator.run ~policy ~m:8 subs in
           let oi, os = Simulator.to_offline trace in
           Schedule.is_feasible oi os
           && List.for_all (fun (r : Simulator.record) -> r.start >= r.submit) trace.records)

@@ -1,7 +1,8 @@
-(* Streaming replay vs the materialising paths: the constant-memory SWF
-   reader, the streaming simulator and the incremental metrics must each be
-   observationally identical to their batch counterparts — same entries,
-   byte-identical event traces, bit-identical summaries. *)
+(* The one SWF reader and the two simulator entries: every reader source
+   converts through one kernel, the batch entry [Simulator.run] and the
+   streaming [run_stream] are observationally identical (byte-identical
+   event traces), and the incremental metrics match the batch summaries
+   bit for bit. *)
 
 open Resa_core
 open Resa_swf
@@ -21,6 +22,9 @@ let drain src =
   let rec go acc = match src () with None -> List.rev acc | Some a -> go (a :: acc) in
   go []
 
+let to_sim (a : Swf_stream.arrival) =
+  Simulator.{ job = a.job; submit = a.submit; estimate = a.estimate }
+
 let feed (arrivals : Swf_stream.arrival list) =
   let rest = ref arrivals in
   fun () ->
@@ -28,33 +32,47 @@ let feed (arrivals : Swf_stream.arrival list) =
     | [] -> None
     | a :: tl ->
       rest := tl;
-      Some Simulator.{ job = a.Swf_stream.job; submit = a.Swf_stream.submit;
-                       estimate = a.Swf_stream.estimate }
+      Some (to_sim a)
 
-(* --- reader: stream vs parse_string ------------------------------------- *)
+(* --- reader: one kernel behind every source ----------------------------- *)
 
-let stream_matches_batch keep_failed seed =
-  let text = synthetic_text seed ~n:25 in
-  let streamed = drain (Swf_stream.of_string ~keep_failed ~m:32 text) in
-  match Swf.parse_string text with
-  | Error _ -> false
-  | Ok entries ->
-    let batch = Swf.to_estimated_workload ~keep_failed entries ~m:32 in
-    let numbers = Swf.job_numbers ~keep_failed entries in
-    List.length streamed = List.length batch
-    && List.for_all2
-         (fun (a : Swf_stream.arrival) (job, submit, estimate) ->
-           a.job = job && a.submit = submit && a.estimate = estimate
-           && a.job_number = numbers.(Job.id job))
-         streamed batch
+(* A generated trace with failed (status 0) and no-work entries mixed in,
+   so the keep rule has something to filter. *)
+let mixed_entries seed ~n =
+  let rng = Prng.create ~seed in
+  let entries = Swf.generate rng ~m:32 ~n ~max_runtime:200 ~mean_gap:6.0 in
+  List.map
+    (fun (e : Swf.entry) ->
+      match Prng.int rng ~bound:6 with
+      | 0 -> { e with status = 0 }
+      | 1 -> { e with run = -1; req_time = -1 }
+      | _ -> e)
+    entries
+
+(* Text and entry sources agree, and both keep exactly the entries that
+   carry work and, under [keep_failed:false], did not fail — renumbered
+   consecutively, archive numbers kept. *)
+let sources_agree keep_failed seed =
+  let entries = mixed_entries seed ~n:25 in
+  let text = Swf.to_string ~comments:[ "oracle" ] entries in
+  let from_text = drain (Swf_stream.of_string ~keep_failed ~m:32 text) in
+  let from_entries = drain (Swf_stream.of_entries ~keep_failed ~m:32 entries) in
+  let kept =
+    List.filter
+      (fun (e : Swf.entry) -> (e.run > 0 || e.req_time > 0) && (keep_failed || e.status <> 0))
+      entries
+  in
+  from_text = from_entries
+  && List.map (fun (a : Swf_stream.arrival) -> a.job_number) from_text
+     = List.map (fun (e : Swf.entry) -> e.job_number) kept
+  && List.for_all Fun.id (List.mapi (fun i (a : Swf_stream.arrival) -> Job.id a.job = i) from_text)
 
 let prop_reader_oracle =
-  Tutil.qcheck ~count:200 "of_string = parse_string |> to_estimated_workload" Tutil.seed_arb
-    (stream_matches_batch true)
+  Tutil.qcheck ~count:200 "of_string = of_entries" Tutil.seed_arb (sources_agree true)
 
 let prop_reader_oracle_filtered =
   Tutil.qcheck ~count:100 "reader oracle with keep_failed:false" Tutil.seed_arb
-    (stream_matches_batch false)
+    (sources_agree false)
 
 let test_stream_parse_error_line () =
   let text = "; header\n" ^ "1 0 5 100 8 -1 -1 8 120 -1 1 3 1 1 1 1 -1 -1" ^ "\nbad line\n" in
@@ -88,16 +106,29 @@ let test_stream_rejects_unreplayable () =
     (error_line
        (String.concat "\n" [ "; header"; line ~submit:4611686018427387000 ~run:5 ~req:10 ]));
   Alcotest.(check int) "walltime past the bound" 1
-    (error_line (line ~submit:0 ~run:5 ~req:(Swf_stream.max_time + 1)));
+    (error_line (line ~submit:0 ~run:5 ~req:(Instance.max_time + 1)));
   (* The bound itself and equal submits are accepted; a negative submit is
-     clamped to 0 as in the batch converters, so it cannot decrease. *)
+     clamped to 0, so it cannot decrease. *)
   let ok =
     String.concat "\n"
-      [ line ~submit:(-1) ~run:5 ~req:10; line ~submit:0 ~run:5 ~req:Swf_stream.max_time;
-        line ~submit:Swf_stream.max_time ~run:5 ~req:10 ]
+      [ line ~submit:(-1) ~run:5 ~req:10; line ~submit:0 ~run:5 ~req:Instance.max_time;
+        line ~submit:Instance.max_time ~run:5 ~req:10 ]
   in
-  Alcotest.(check (list int)) "accepted submits" [ 0; 0; Swf_stream.max_time ]
+  Alcotest.(check (list int)) "accepted submits" [ 0; 0; Instance.max_time ]
     (List.map (fun (a : Swf_stream.arrival) -> a.submit) (drain (Swf_stream.of_string ~m:8 ok)))
+
+(* Parsed entries pass the same checks, at their 1-based list position. *)
+let test_of_entries_rejects_unreplayable () =
+  let entry submit req_time = { Swf.default with Swf.submit; run = 5; req_procs = 2; req_time } in
+  let error_pos entries =
+    match drain (Swf_stream.of_entries ~m:8 entries) with
+    | _ -> Alcotest.fail "Parse_error expected"
+    | exception Swf_stream.Parse_error { line; _ } -> line
+  in
+  Alcotest.(check int) "decreasing submit" 2 (error_pos [ entry 100 10; entry 50 10 ]);
+  Alcotest.(check int) "submit past the bound" 3
+    (error_pos [ entry 0 10; entry 0 10; entry (Instance.max_time + 1) 10 ]);
+  Alcotest.(check int) "walltime past the bound" 1 (error_pos [ entry 0 (Instance.max_time + 1) ])
 
 let test_stream_file_roundtrip () =
   let text = synthetic_text 7 ~n:20 in
@@ -129,7 +160,7 @@ let test_synthetic_shape () =
       if Job.q a.job < 1 || Job.q a.job > 64 then Alcotest.fail "width out of range")
     xs
 
-(* --- simulator: run_stream vs run_estimated ----------------------------- *)
+(* --- simulator: run vs run_stream ---------------------------------------- *)
 
 let arrivals_of_seed seed ~n =
   let rng = Prng.create ~seed in
@@ -137,15 +168,8 @@ let arrivals_of_seed seed ~n =
 
 let engines_agree ~gc_every policy seed =
   let arrivals = arrivals_of_seed seed ~n:30 in
-  let subs =
-    List.map (fun (a : Swf_stream.arrival) -> Simulator.{ job = a.job; submit = a.submit })
-      arrivals
-  in
-  let estimates =
-    Array.of_list (List.map (fun (a : Swf_stream.arrival) -> a.Swf_stream.estimate) arrivals)
-  in
   let obs_b = Resa_obs.Trace.buffer () in
-  let trace = Simulator.run_estimated ~obs:obs_b ~policy ~m:16 ~estimates subs in
+  let trace = Simulator.run ~obs:obs_b ~policy ~m:16 (List.map to_sim arrivals) in
   let obs_s = Resa_obs.Trace.buffer () in
   let records = ref [] in
   let stats =
@@ -166,7 +190,7 @@ let engine_props =
     (fun (policy : Policy.t) ->
       [
         Tutil.qcheck ~count:150
-          (Printf.sprintf "run_stream = run_estimated (%s)" policy.Policy.name)
+          (Printf.sprintf "run = run_stream (%s)" policy.Policy.name)
           Tutil.seed_arb
           (engines_agree ~gc_every:0 policy);
         Tutil.qcheck ~count:60
@@ -276,6 +300,21 @@ let test_stream_validates_arrivals () =
     (Invalid_argument "Simulator.run_stream: job wider than the machine") (fun () ->
       run Simulator.{ job = wide; submit = 0; estimate = 5 })
 
+(* Archive job numbers reach the per-job rows through the drained arrivals,
+   aligned with the renumbered ids even when failed entries are dropped. *)
+let test_per_job_numbers_from_arrivals () =
+  let line number status =
+    Printf.sprintf "%d 0 0 5 1 -1 -1 1 5 -1 %d 1 1 1 1 1 -1 -1" number status
+  in
+  let text = String.concat "\n" [ line 17 1; line 23 0; line 42 1 ] in
+  let arrivals = drain (Swf_stream.of_string ~keep_failed:false ~m:4 text) in
+  let job_numbers =
+    Array.of_list (List.map (fun (a : Swf_stream.arrival) -> a.job_number) arrivals)
+  in
+  let trace = Simulator.run ~policy:Policy.fcfs ~m:4 (List.map to_sim arrivals) in
+  Alcotest.(check (list int)) "archive numbers" [ 17; 42 ]
+    (List.map (fun (r : Metrics.job_row) -> r.job_number) (Metrics.per_job ~job_numbers trace))
+
 (* --- metrics: Stream vs summarize --------------------------------------- *)
 
 let bits = Int64.bits_of_float
@@ -294,14 +333,7 @@ let metrics_agree seed =
     (Simulator.run_stream ~policy:Policy.easy ~m:16
        ~on_record:(Metrics.Stream.observe ms) (feed arrivals)
       : Simulator.stream_stats);
-  let subs =
-    List.map (fun (a : Swf_stream.arrival) -> Simulator.{ job = a.job; submit = a.submit })
-      arrivals
-  in
-  let estimates =
-    Array.of_list (List.map (fun (a : Swf_stream.arrival) -> a.Swf_stream.estimate) arrivals)
-  in
-  let trace = Simulator.run_estimated ~policy:Policy.easy ~m:16 ~estimates subs in
+  let trace = Simulator.run ~policy:Policy.easy ~m:16 (List.map to_sim arrivals) in
   summaries_identical (Metrics.Stream.summary ms) (Metrics.summarize trace)
 
 let prop_metrics_bitwise =
@@ -357,11 +389,15 @@ let suite =
     Alcotest.test_case "parse errors carry line numbers" `Quick test_stream_parse_error_line;
     Alcotest.test_case "unreplayable entries rejected at their line" `Quick
       test_stream_rejects_unreplayable;
+    Alcotest.test_case "of_entries rejects bad entries" `Quick
+      test_of_entries_rejects_unreplayable;
     Alcotest.test_case "file and string streams agree" `Quick test_stream_file_roundtrip;
     Alcotest.test_case "synthetic stream shape and determinism" `Quick test_synthetic_shape;
     Alcotest.test_case "bad arrivals rejected" `Quick test_stream_validates_arrivals;
     Alcotest.test_case "gc stays rare under a dense reservation calendar" `Quick
       test_calendar_gc_bounded;
+    Alcotest.test_case "per_job job_number from arrivals" `Quick
+      test_per_job_numbers_from_arrivals;
     Alcotest.test_case "empty stream metrics are degenerate" `Quick test_stream_metrics_empty;
     prop_metrics_bitwise;
     prop_jobq_model;

@@ -68,3 +68,6 @@ let profile_of_seed seed =
   (* Shift up so it is capacity-like (non-negative). *)
   let lift = max 0 (-Profile.min_value p) in
   Profile.add_const p lift
+
+(* A simulator arrival whose walltime estimate is exact ([estimate = p]). *)
+let exact job ~submit = Resa_sim.Simulator.{ job; submit; estimate = Job.p job }
