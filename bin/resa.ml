@@ -22,6 +22,51 @@ open Resa_core
 open Resa_algos
 
 (* ------------------------------------------------------------------ *)
+(* input boundary                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Exit codes, declared once: every verb's manual lists them, and the
+   handler at the bottom of this file is the only place that turns an
+   exception into one. *)
+let gate_failed = 1
+let input_rejected = 2
+let self_check_failed = 3
+
+let exits =
+  Cmd.Exit.
+    [ info ok ~doc:"on success.";
+      info gate_failed ~doc:"when a gate failed (benchdiff regression, replay allocation budget).";
+      info input_rejected ~doc:"when an input was rejected; the $(b,error:) line names the cause.";
+      info self_check_failed ~doc:"when solve's feasibility self-check failed (a bug).";
+      info cli_error ~doc:"on command line parsing errors, unknown names included.";
+      info internal_error ~doc:"on unexpected internal errors (bugs)." ]
+
+(* A file parsed here (instance, JSONL trace, bench rows) is malformed. *)
+exception Rejected of string
+
+(* The one converter for every name-valued argument: case-insensitive,
+   with [seeded] naming the choices spelled NAME:SEED. An unknown name is
+   a usage error (exit 124) that lists the valid ones. *)
+let named ~what ?(seeded = []) choices =
+  let parse s =
+    let key = String.lowercase_ascii s in
+    let with_seed (name, make) =
+      match String.split_on_char ':' key with
+      | [ n; seed ] when n = name -> Option.map make (int_of_string_opt seed)
+      | _ -> None
+    in
+    match (List.assoc_opt key choices, List.find_map with_seed seeded) with
+    | Some v, _ | None, Some v -> Ok v
+    | None, None ->
+      let names = List.map fst choices @ List.map (fun (name, _) -> name ^ ":SEED") seeded in
+      Error (`Msg (Printf.sprintf "unknown %s %S, expected one of: %s" what s (String.concat ", " names)))
+  and print ppf v =
+    Format.pp_print_string ppf
+      (match List.find_opt (fun (_, c) -> c == v) choices with Some (name, _) -> name | None -> "?")
+  in
+  Arg.conv ~docv:"VAL" (parse, print)
+
+(* ------------------------------------------------------------------ *)
 (* shared arguments                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -37,7 +82,16 @@ let jobs_arg =
           "Worker domains for parallel sections (overrides $(b,RESA_DOMAINS); results are \
            identical at any value).")
 
-let apply_jobs = Option.iter Resa_par.set_domains
+let policy_arg =
+  let policies =
+    Resa_sim.Policy.
+      [ ("all", all); ("fcfs", [ fcfs ]); ("easy", [ easy ]); ("cons", [ conservative ]);
+        ("conservative", [ conservative ]); ("lsrc", [ aggressive ]); ("aggressive", [ aggressive ]) ]
+  in
+  Arg.(
+    value
+    & opt (named ~what:"policy" policies) Resa_sim.Policy.all
+    & info [ "policy" ] ~doc:"all, fcfs, easy, cons or lsrc.")
 
 let swf_rule_doc =
   Printf.sprintf
@@ -49,9 +103,7 @@ let swf_rule_doc =
 let read_instance path =
   match if path = "-" then Instance_io.of_string (In_channel.input_all stdin) else Instance_io.read_file path with
   | Ok inst -> inst
-  | Error msg ->
-    Printf.eprintf "error: %s\n" msg;
-    exit 2
+  | Error msg -> raise (Rejected msg)
 
 (* ------------------------------------------------------------------ *)
 (* generate                                                            *)
@@ -62,37 +114,38 @@ let generate family k m len c n alpha pmax seed =
   let known_opt = ref None in
   let inst =
     match family with
-    | "prop2" ->
+    | `Prop2 ->
       let inst, opt = Resa_gen.Adversarial.prop2 ~k in
       known_opt := Some opt;
       inst
-    | "graham" ->
+    | `Graham ->
       let inst, opt = Resa_gen.Adversarial.graham_tight ~m in
       known_opt := Some opt;
       inst
-    | "fcfs-bad" ->
+    | `Fcfs_bad ->
       let inst, opt = Resa_gen.Adversarial.fcfs_bad ~m ~len in
       known_opt := Some opt;
       inst
-    | "fig2" -> Resa_gen.Adversarial.figure2_example ()
-    | "packed" ->
+    | `Fig2 -> Resa_gen.Adversarial.figure2_example ()
+    | `Packed ->
       let p = Resa_gen.Packed.generate rng ~m ~c ~target_jobs:n ~reservation_fraction:0.2 () in
       known_opt := Some p.optimal;
       p.instance
-    | "random" -> Resa_gen.Random_inst.alpha_restricted rng ~m ~n ~alpha ~pmax ()
-    | "workload" -> Resa_gen.Random_inst.cluster_workload rng ~m ~n ~max_runtime:pmax
-    | other ->
-      Printf.eprintf "unknown family %S\n" other;
-      exit 2
+    | `Random -> Resa_gen.Random_inst.alpha_restricted rng ~m ~n ~alpha ~pmax ()
+    | `Workload -> Resa_gen.Random_inst.cluster_workload rng ~m ~n ~max_runtime:pmax
   in
   (match !known_opt with Some v -> Printf.printf "# optimal %d\n" v | None -> ());
   print_string (Instance_io.to_string inst)
 
 let generate_cmd =
   let family =
+    let families =
+      [ ("prop2", `Prop2); ("graham", `Graham); ("fcfs-bad", `Fcfs_bad); ("fig2", `Fig2);
+        ("packed", `Packed); ("random", `Random); ("workload", `Workload) ]
+    in
     Arg.(
       value
-      & pos 0 string "random"
+      & pos 0 (named ~what:"family" families) `Random
       & info [] ~docv:"FAMILY"
           ~doc:"One of: prop2, graham, fcfs-bad, fig2, packed, random, workload.")
   in
@@ -104,46 +157,30 @@ let generate_cmd =
   let alpha = Arg.(value & opt float 0.5 & info [ "alpha" ] ~doc:"Alpha restriction (random).") in
   let pmax = Arg.(value & opt int 10 & info [ "pmax" ] ~doc:"Maximum job duration.") in
   Cmd.v
-    (Cmd.info "generate" ~doc:"Emit an instance file from a built-in family")
+    (Cmd.info "generate" ~exits ~doc:"Emit an instance file from a built-in family")
     Term.(const generate $ family $ k $ m $ len $ c $ n $ alpha $ pmax $ seed_arg)
 
 (* ------------------------------------------------------------------ *)
 (* solve                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let priority_of_string s =
-  match String.lowercase_ascii s with
-  | "fifo" -> Priority.Fifo
-  | "lpt" -> Priority.Lpt
-  | "spt" -> Priority.Spt
-  | "widest" -> Priority.Widest_first
-  | "narrowest" -> Priority.Narrowest_first
-  | "area" -> Priority.Largest_area_first
-  | s when String.length s > 7 && String.sub s 0 7 = "random:" ->
-    Priority.Random (int_of_string (String.sub s 7 (String.length s - 7)))
-  | other ->
-    Printf.eprintf "unknown priority %S\n" other;
-    exit 2
-
 let solve path algo priority show_gantt width =
   let inst = read_instance path in
-  let priority = priority_of_string priority in
-  let named name sched = (name, sched) in
   let name, sched =
-    match String.lowercase_ascii algo with
-    | "lsrc" -> named "LSRC" (Lsrc.run ~priority inst)
-    | "fcfs" -> named "FCFS" (Fcfs.run ~priority inst)
-    | "easy" -> named "EASY" (Backfill.easy ~priority inst)
-    | "conservative" | "cons" -> named "CONS" (Backfill.conservative ~priority inst)
-    | "shelf-nfdh" -> named "NFDH" (Shelf.run Shelf.Nfdh inst)
-    | "shelf-ffdh" -> named "FFDH" (Shelf.run Shelf.Ffdh inst)
-    | "bnb" | "opt" ->
+    match algo with
+    | `Lsrc -> ("LSRC", Lsrc.run ~priority inst)
+    | `Fcfs -> ("FCFS", Fcfs.run ~priority inst)
+    | `Easy -> ("EASY", Backfill.easy ~priority inst)
+    | `Cons -> ("CONS", Backfill.conservative ~priority inst)
+    | `Nfdh -> ("NFDH", Shelf.run Shelf.Nfdh inst)
+    | `Ffdh -> ("FFDH", Shelf.run Shelf.Ffdh inst)
+    | `Bnb ->
       let r = Resa_exact.Bnb.solve inst in
-      named (if r.optimal then "OPT" else "B&B(budget hit)") r.schedule
-    | "dp" ->
+      ((if r.optimal then "OPT" else "B&B(budget hit)"), r.schedule)
+    | `Dp ->
       let sched, _ = Resa_exact.Single_machine.solve inst in
-      named "OPT(dp)" sched
-    | "preemptive" ->
+      ("OPT(dp)", sched)
+    | `Preemptive ->
       (* Preemptive optimum reported on its own (it has no Schedule.t). *)
       let r = Preemptive.optimal inst in
       Printf.printf "preemptive optimal makespan: %d\n" r.makespan;
@@ -154,16 +191,13 @@ let solve path algo priority show_gantt width =
           print_newline ())
         r.intervals;
       exit 0
-    | other ->
-      Printf.eprintf "unknown algorithm %S\n" other;
-      exit 2
   in
   (match Schedule.validate inst sched with
   | Ok () -> ()
   | Error v ->
-    Printf.eprintf "internal error: infeasible schedule: %s\n"
+    Printf.eprintf "self-check failed: infeasible schedule: %s\n"
       (Format.asprintf "%a" Schedule.pp_violation v);
-    exit 3);
+    exit self_check_failed);
   let cmax = Schedule.makespan inst sched in
   let lb = Resa_exact.Lower_bounds.best inst in
   Printf.printf "%s makespan: %d\n" name cmax;
@@ -175,42 +209,51 @@ let solve path algo priority show_gantt width =
 let solve_cmd =
   let path = Arg.(value & pos 0 string "-" & info [] ~docv:"FILE" ~doc:"Instance file ('-' for stdin).") in
   let algo =
+    let algos =
+      [ ("lsrc", `Lsrc); ("fcfs", `Fcfs); ("easy", `Easy); ("conservative", `Cons); ("cons", `Cons);
+        ("shelf-nfdh", `Nfdh); ("shelf-ffdh", `Ffdh); ("bnb", `Bnb); ("opt", `Bnb); ("dp", `Dp);
+        ("preemptive", `Preemptive) ]
+    in
     Arg.(
-      value & opt string "lsrc"
+      value
+      & opt (named ~what:"algorithm" algos) `Lsrc
       & info [ "algo"; "a" ]
           ~doc:
             "lsrc, fcfs, easy, conservative, shelf-nfdh, shelf-ffdh, bnb, dp (exact, m=1), \
              or preemptive (exact, q=1 jobs).")
   in
   let priority =
+    let priorities =
+      Priority.
+        [ ("fifo", Fifo); ("lpt", Lpt); ("spt", Spt); ("widest", Widest_first);
+          ("narrowest", Narrowest_first); ("area", Largest_area_first) ]
+    in
+    let seeded = [ ("random", fun seed -> Priority.Random seed) ] in
     Arg.(
-      value & opt string "fifo"
+      value
+      & opt (named ~what:"priority" ~seeded priorities) Priority.Fifo
       & info [ "priority"; "p" ] ~doc:"fifo, lpt, spt, widest, narrowest, area, random:SEED.")
   in
   let gantt = Arg.(value & flag & info [ "gantt"; "g" ] ~doc:"Render an ASCII Gantt chart.") in
   let width = Arg.(value & opt int 72 & info [ "width" ] ~doc:"Gantt chart width.") in
   Cmd.v
-    (Cmd.info "solve" ~doc:"Schedule an instance file and report the makespan")
+    (Cmd.info "solve" ~exits ~doc:"Schedule an instance file and report the makespan")
     Term.(const solve $ path $ algo $ priority $ gantt $ width)
 
 (* ------------------------------------------------------------------ *)
 (* simulate                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let simulate swf_path m n max_runtime mean_gap seed policy_name overestimate jobs trace_out
+let simulate swf_path m n max_runtime mean_gap seed policies overestimate jobs trace_out
     chrome_out csv_out =
-  apply_jobs jobs;
+  Option.iter Resa_par.set_domains jobs;
   let arrivals =
     let module S = Resa_swf.Swf_stream in
-    try
-      match swf_path with
-      | Some path -> S.with_file ~m path S.to_list
-      | None ->
-        let rng = Prng.create ~seed in
-        S.to_list (S.of_entries ~m (Resa_swf.Swf.generate ~overestimate rng ~m ~n ~max_runtime ~mean_gap))
-    with S.Parse_error { line; msg } ->
-      Printf.eprintf "error: line %d: %s\n" line msg;
-      exit 2
+    match swf_path with
+    | Some path -> S.with_file ~m path S.to_list
+    | None ->
+      let rng = Prng.create ~seed in
+      S.to_list (S.of_entries ~m (Resa_swf.Swf.generate ~overestimate rng ~m ~n ~max_runtime ~mean_gap))
   in
   let arrivals, job_numbers =
     List.split
@@ -220,18 +263,6 @@ let simulate swf_path m n max_runtime mean_gap seed policy_name overestimate job
          arrivals)
   in
   let job_numbers = Array.of_list job_numbers in
-  let policies =
-    let open Resa_sim.Policy in
-    match String.lowercase_ascii policy_name with
-    | "all" -> all
-    | "fcfs" -> [ fcfs ]
-    | "easy" -> [ easy ]
-    | "cons" | "conservative" -> [ conservative ]
-    | "lsrc" | "aggressive" -> [ aggressive ]
-    | other ->
-      Printf.eprintf "unknown policy %S\n" other;
-      exit 2
-  in
   let trace_out =
     match trace_out with Some _ as p -> p | None -> Sys.getenv_opt "RESA_TRACE"
   in
@@ -310,7 +341,6 @@ let simulate_cmd =
   let n = Arg.(value & opt int 200 & info [ "n" ] ~doc:"Synthetic trace length.") in
   let max_runtime = Arg.(value & opt int 200 & info [ "max-runtime" ] ~doc:"Synthetic max runtime.") in
   let mean_gap = Arg.(value & opt float 5.0 & info [ "mean-gap" ] ~doc:"Mean inter-arrival gap.") in
-  let policy = Arg.(value & opt string "all" & info [ "policy" ] ~doc:"all, fcfs, easy, cons or lsrc.") in
   let overestimate =
     Arg.(
       value & opt float 1.0
@@ -345,32 +375,20 @@ let simulate_cmd =
              $(docv).")
   in
   Cmd.v
-    (Cmd.info "simulate" ~doc:"Online simulation of a (synthetic or SWF) trace")
+    (Cmd.info "simulate" ~exits ~doc:"Online simulation of a (synthetic or SWF) trace")
     Term.(
-      const simulate $ swf $ m $ n $ max_runtime $ mean_gap $ seed_arg $ policy $ overestimate
+      const simulate $ swf $ m $ n $ max_runtime $ mean_gap $ seed_arg $ policy_arg $ overestimate
       $ jobs_arg $ trace_out $ chrome_out $ csv_out)
 
 (* ------------------------------------------------------------------ *)
 (* replay                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let replay swf_path m n max_runtime mean_gap seed policy_name overestimate heartbeat_out hb_every
+let replay swf_path m n max_runtime mean_gap seed policies overestimate heartbeat_out hb_every
     hb_dt prom_out metrics_on max_allocs =
   (* --prom needs the registry populated; --metrics asks for it explicitly
      (same switch as RESA_METRICS=1). *)
   if metrics_on || prom_out <> None then Resa_obs.Metrics.enable ();
-  let policies =
-    let open Resa_sim.Policy in
-    match String.lowercase_ascii policy_name with
-    | "all" -> all
-    | "fcfs" -> [ fcfs ]
-    | "easy" -> [ easy ]
-    | "cons" | "conservative" -> [ conservative ]
-    | "lsrc" | "aggressive" -> [ aggressive ]
-    | other ->
-      Printf.eprintf "unknown policy %S\n" other;
-      exit 2
-  in
   (* One pass per policy over a freshly opened stream (file re-read or
      synthetic re-seeded): nothing is shared across runs and nothing is
      retained within one, so the process high-water mark reflects a single
@@ -429,21 +447,16 @@ let replay swf_path m n max_runtime mean_gap seed policy_name overestimate heart
               hb_oc
           in
           let stats =
-            try
-              with_stream (fun src ->
-                  Resa_sim.Simulator.run_stream ~heartbeat_every:hb_every
-                    ~heartbeat_dt:hb_dt ?on_heartbeat
-                    ~on_record:(Resa_sim.Metrics.Stream.observe ms)
-                    ~policy ~m
-                    (fun () ->
-                      Option.map
-                        (fun (a : Resa_swf.Swf_stream.arrival) ->
-                          Resa_sim.Simulator.
-                            { job = a.job; submit = a.submit; estimate = a.estimate })
-                        (src ())))
-            with Resa_swf.Swf_stream.Parse_error { line; msg } ->
-              Printf.eprintf "error: line %d: %s\n" line msg;
-              exit 2
+            with_stream (fun src ->
+                Resa_sim.Simulator.run_stream ~heartbeat_every:hb_every ~heartbeat_dt:hb_dt
+                  ?on_heartbeat
+                  ~on_record:(Resa_sim.Metrics.Stream.observe ms)
+                  ~policy ~m
+                  (fun () ->
+                    Option.map
+                      (fun (a : Resa_swf.Swf_stream.arrival) ->
+                        Resa_sim.Simulator.{ job = a.job; submit = a.submit; estimate = a.estimate })
+                      (src ())))
           in
           let wall_s = float_of_int (Resa_obs.Prof.now_ns () - t0) /. 1e9 in
           (* Minor words per event (arrival or completion): the whole
@@ -481,10 +494,10 @@ let replay swf_path m n max_runtime mean_gap seed policy_name overestimate heart
   if !over_budget <> [] then begin
     List.iter
       (fun (name, allocs_ev) ->
-        Printf.eprintf "error: %s allocated %.1f minor words/event (budget %.1f)\n" name
+        Printf.eprintf "gate failed: %s allocated %.1f minor words/event (budget %.1f)\n" name
           allocs_ev max_allocs)
       (List.rev !over_budget);
-    exit 1
+    exit gate_failed
   end
 
 let replay_cmd =
@@ -504,9 +517,6 @@ let replay_cmd =
     (* 150 keeps the synthetic system stable (bounded queue) even under
        FCFS, so the replay's memory footprint is flat by default. *)
     Arg.(value & opt float 150.0 & info [ "mean-gap" ] ~doc:"Mean inter-arrival gap.")
-  in
-  let policy =
-    Arg.(value & opt string "all" & info [ "policy" ] ~doc:"all, fcfs, easy, cons or lsrc.")
   in
   let overestimate =
     Arg.(
@@ -567,12 +577,12 @@ let replay_cmd =
              allocation-free decide loop.")
   in
   Cmd.v
-    (Cmd.info "replay"
+    (Cmd.info "replay" ~exits
        ~doc:
          "Constant-memory streaming replay of a (synthetic or SWF) trace: incremental metrics, \
           no materialised job list, timeline history GC")
     Term.(
-      const replay $ swf $ m $ n $ max_runtime $ mean_gap $ seed_arg $ policy $ overestimate
+      const replay $ swf $ m $ n $ max_runtime $ mean_gap $ seed_arg $ policy_arg $ overestimate
       $ heartbeat_out $ hb_every $ hb_dt $ prom_out $ metrics_on $ max_allocs)
 
 (* ------------------------------------------------------------------ *)
@@ -582,12 +592,7 @@ let replay_cmd =
 let explain path =
   let lines =
     if path = "-" then In_channel.input_lines stdin
-    else
-      match In_channel.with_open_text path In_channel.input_lines with
-      | lines -> lines
-      | exception Sys_error msg ->
-        Printf.eprintf "error: %s\n" msg;
-        exit 2
+    else In_channel.with_open_text path In_channel.input_lines
   in
   let events =
     List.concat
@@ -597,9 +602,7 @@ let explain path =
            else
              match Resa_obs.Trace.parse_line line with
              | Ok ev -> [ ev ]
-             | Error msg ->
-               Printf.eprintf "error: %s:%d: %s\n" path (lineno + 1) msg;
-               exit 2)
+             | Error msg -> raise (Rejected (Printf.sprintf "%s:%d: %s" path (lineno + 1) msg)))
          lines)
   in
   print_string (Resa_obs.Explain.render events)
@@ -612,7 +615,7 @@ let explain_cmd =
       & info [] ~docv:"FILE" ~doc:"JSONL event trace from simulate --trace ('-' for stdin).")
   in
   Cmd.v
-    (Cmd.info "explain"
+    (Cmd.info "explain" ~exits
        ~doc:"Replay a JSONL event trace and print, per job, why it started when it did")
     Term.(const explain $ path)
 
@@ -628,14 +631,7 @@ let explain_cmd =
    stream, so `resa top < hb.jsonl` doubles as a summariser. *)
 
 let top path =
-  let ic =
-    if path = "-" then stdin
-    else
-      try open_in path
-      with Sys_error msg ->
-        Printf.eprintf "error: %s\n" msg;
-        exit 2
-  in
+  let ic = if path = "-" then stdin else open_in path in
   let module H = Resa_sim.Heartbeat in
   let hist_cap = 48 in
   let runs : (string, H.row * float list * float list) Hashtbl.t = Hashtbl.create 4 in
@@ -723,7 +719,7 @@ let top_cmd =
           ~doc:"Heartbeat JSONL stream from replay --heartbeat ('-' for stdin).")
   in
   Cmd.v
-    (Cmd.info "top"
+    (Cmd.info "top" ~exits
        ~doc:
          "Live terminal view of a heartbeat stream: per-run job counts, queue depth, wait \
           quantiles, timeline health and rate/occupancy sparklines")
@@ -737,18 +733,11 @@ let benchdiff old_path new_path threshold min_wall warn_only =
   let read path =
     let contents =
       if path = "-" then In_channel.input_all stdin
-      else
-        match In_channel.with_open_text path In_channel.input_all with
-        | s -> s
-        | exception Sys_error msg ->
-          Printf.eprintf "error: %s\n" msg;
-          exit 2
+      else In_channel.with_open_text path In_channel.input_all
     in
     match Resa_obs.Benchdiff.rows_of_string contents with
     | Ok rows -> rows
-    | Error msg ->
-      Printf.eprintf "error: %s: %s\n" path msg;
-      exit 2
+    | Error msg -> raise (Rejected (Printf.sprintf "%s: %s" path msg))
   in
   let old_rows = read old_path in
   let new_rows = read new_path in
@@ -756,7 +745,7 @@ let benchdiff old_path new_path threshold min_wall warn_only =
   print_string (Resa_obs.Benchdiff.render report);
   if report.Resa_obs.Benchdiff.regressions > 0 then
     if warn_only then print_endline "benchdiff: regressions found (warn-only, not failing)"
-    else exit 1
+    else exit gate_failed
 
 let benchdiff_cmd =
   let old_path = Arg.(required & pos 0 (some string) None & info [] ~docv:"OLD" ~doc:"Baseline BENCH_*.json trajectory.") in
@@ -780,7 +769,7 @@ let benchdiff_cmd =
           ~doc:"Report regressions but exit 0 — for advisory CI gates on noisy runners.")
   in
   Cmd.v
-    (Cmd.info "benchdiff"
+    (Cmd.info "benchdiff" ~exits
        ~doc:
          "Compare two bench trajectory JSON files row-by-row and exit non-zero on relative \
           slowdowns past the threshold")
@@ -812,7 +801,7 @@ let trace_cmd =
     Arg.(value & opt float 1.0 & info [ "overestimate" ] ~doc:"Mean walltime overestimation (>= 1).")
   in
   Cmd.v
-    (Cmd.info "trace" ~doc:"Emit a synthetic Standard Workload Format trace")
+    (Cmd.info "trace" ~exits ~doc:"Emit a synthetic Standard Workload Format trace")
     Term.(const trace $ m $ n $ max_runtime $ mean_gap $ overestimate $ seed_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -840,7 +829,7 @@ let info_main path =
 
 let info_cmd =
   let path = Arg.(value & pos 0 string "-" & info [] ~docv:"FILE" ~doc:"Instance file ('-' for stdin).") in
-  Cmd.v (Cmd.info "info" ~doc:"Summarise an instance file") Term.(const info_main $ path)
+  Cmd.v (Cmd.info "info" ~exits ~doc:"Summarise an instance file") Term.(const info_main $ path)
 
 (* ------------------------------------------------------------------ *)
 (* bounds                                                              *)
@@ -860,23 +849,33 @@ let bounds_cmd =
       & info [ "alphas" ] ~doc:"Comma-separated alpha values.")
   in
   Cmd.v
-    (Cmd.info "bounds" ~doc:"Print the Figure 4 bound curves")
+    (Cmd.info "bounds" ~exits ~doc:"Print the Figure 4 bound curves")
     Term.(const bounds $ alphas)
 
+(* The one exception-to-exit-code site. The library checks every
+   parameter and input it is given and raises [Invalid_argument] or a
+   parse error naming the cause; those, unreadable files and [Rejected]
+   are rejected inputs (exit 2). Anything else, the runtime's own
+   out-of-bounds access included, is a bug (exit 125). *)
 let () =
   let doc = "scheduling with reservations: algorithms, bounds and simulator" in
+  let cmd =
+    Cmd.group (Cmd.info "resa" ~exits ~version:"1.0.0" ~doc)
+      [ generate_cmd; solve_cmd; simulate_cmd; replay_cmd; explain_cmd; top_cmd; benchdiff_cmd;
+        trace_cmd; bounds_cmd; info_cmd ]
+  in
+  let reject msg =
+    Printf.eprintf "error: %s\n" msg;
+    input_rejected
+  in
   exit
-    (Cmd.eval
-       (Cmd.group (Cmd.info "resa" ~version:"1.0.0" ~doc)
-          [
-            generate_cmd;
-            solve_cmd;
-            simulate_cmd;
-            replay_cmd;
-            explain_cmd;
-            top_cmd;
-            benchdiff_cmd;
-            trace_cmd;
-            bounds_cmd;
-            info_cmd;
-          ]))
+    (match Cmd.eval ~catch:false cmd with
+    | code -> code
+    | exception Resa_swf.Swf_stream.Parse_error { line; msg } ->
+      reject (Printf.sprintf "line %d: %s" line msg)
+    | exception (Sys_error msg | Rejected msg) -> reject msg
+    | exception Invalid_argument msg when msg <> "index out of bounds" -> reject msg
+    | exception e ->
+      Printf.eprintf "resa: internal error, uncaught exception:\n       %s\n%s"
+        (Printexc.to_string e) (Printexc.get_backtrace ());
+      Cmd.Exit.internal_error)

@@ -61,6 +61,7 @@ let assign_processors inst sched =
   out
 
 let render ?(width = 72) inst sched =
+  if width < 1 then invalid_arg "Gantt.render: width must be >= 1";
   let m = Instance.m inst in
   let cmax = max (Schedule.makespan inst sched) (Instance.horizon inst) in
   let buf = Buffer.create 1024 in

@@ -19,7 +19,7 @@ val assign_processors : Instance.t -> Schedule.t -> int array array
 
 val render : ?width:int -> Instance.t -> Schedule.t -> string
 (** Multi-line chart, newline-terminated. [width] (default 72) bounds the
-    number of time columns. *)
+    number of time columns; raises [Invalid_argument] if it is below 1. *)
 
 val render_profile : ?width:int -> ?height:int -> Profile.t -> hi:int -> string
 (** Bar rendering of a profile over [\[0, hi)] — used to display availability

@@ -540,6 +540,24 @@ let node_count t = t.n_nodes
 
 let c_gc = Resa_obs.Prof.counter "timeline.gc"
 
+(* The number of nodes [gc]'s [build] creates over [lo, hi): it visits the
+   same ranges in the same order, without allocating. A range splits iff a
+   segment edge falls strictly inside it. *)
+let rec build_size segs upto idx lo hi =
+  if !idx >= Array.length segs then 1
+  else begin
+    let slo, shi, _ = segs.(!idx) in
+    let slo = slo - upto and shi = shi - upto in
+    if slo <= lo && hi <= shi then begin
+      if shi = hi then incr idx;
+      1
+    end
+    else
+      let mid = (lo + hi) / 2 in
+      let l = build_size segs upto idx lo mid in
+      1 + l + build_size segs upto idx mid hi
+  end
+
 (* History garbage collection. The committed past of a capacity timeline
    never changes (simulators only mutate and query windows at or after the
    current instant), yet the tree keeps one materialised node chain per
@@ -598,24 +616,29 @@ let gc t ~upto =
   else begin
     let _, last_hi, _ = segs.(k - 1) in
     let width = last_hi - upto in
-    let size = ref 1 and bits = ref 1 in
+    let size = ref 1 in
     while !size < width do
-      size := 2 * !size;
-      incr bits
+      size := 2 * !size
     done;
     let size = !size in
-    (* Contiguous segments share most of their root-to-leaf paths, so the
-       materialised-node count is close to 4·k + 2·depth in practice; start
-       there and let [new_node]'s amortised doubling absorb the worst case
-       rather than over-allocating a fresh array on every rebuild. *)
-    t.size <- size;
-    t.last_hi <- width;
-    t.n_nodes <- 1;
-    t.nodes <- Array.make (max 512 (8 * ((4 * k) + (2 * !bits) + 8))) 0;
     (* Cursor over segments in internal coordinates: leaves are built left
        to right, so [idx] always points at the segment containing the
        subtree's first instant (or [k] once past the last breakpoint). *)
     let idx = ref 0 in
+    (* Sized from the exact node count plus a quarter for the mutations
+       that follow: an exactly full array doubles at the first of them,
+       which measured no faster than regrowing during the rebuild. No
+       estimate from [k] fits both shapes that occur: a
+       segment with edges at arbitrary instants of a wide horizon needs its
+       own deep path, ~20 nodes against ~4 in a contiguous run, and an
+       array sized for the latter regrew through several doublings on every
+       rebuild of a reservation calendar. *)
+    let n = 1 + build_size segs upto idx 0 size in
+    idx := 0;
+    t.size <- size;
+    t.last_hi <- width;
+    t.n_nodes <- 1;
+    t.nodes <- Array.make (max 512 (8 * (n + (n / 4)))) 0;
     let rec build lo hi =
       if !idx >= k then new_node t tail (hi - lo)
       else begin

@@ -126,7 +126,7 @@ let get_pool size =
     p
 
 let set_domains n =
-  let n = max 1 n in
+  if n < 1 then invalid_arg "Resa_par.set_domains: need at least 1 domain";
   override := Some n;
   match !the_pool with
   | Some p when p.size <> n -> shutdown ()

@@ -39,9 +39,9 @@ val domain_count : unit -> int
     any, otherwise {!default_domains}. *)
 
 val set_domains : int -> unit
-(** Override the pool size (values [< 1] are clamped to 1). If a pool of
-    a different size is already running, it is shut down and respawned
-    lazily at the next parallel call. *)
+(** Override the pool size; raises [Invalid_argument] if it is below 1.
+    If a pool of a different size is already running, it is shut down and
+    respawned lazily at the next parallel call. *)
 
 val with_domains : int -> (unit -> 'a) -> 'a
 (** [with_domains d f] runs [f] with the pool size forced to [d],

@@ -150,7 +150,9 @@ let test_gantt_renders () =
   Alcotest.(check bool) "mentions job b" true (String.contains out 'b');
   (* One line per processor plus header. *)
   let lines = String.split_on_char '\n' (String.trim out) in
-  Alcotest.(check int) "3 rows + header" 4 (List.length lines)
+  Alcotest.(check int) "3 rows + header" 4 (List.length lines);
+  Alcotest.check_raises "width below 1" (Invalid_argument "Gantt.render: width must be >= 1")
+    (fun () -> ignore (Gantt.render ~width:0 inst s))
 
 let test_gantt_assign_processors () =
   let inst = Instance.of_sizes ~m:4 [ (2, 2); (2, 2); (1, 4) ] in

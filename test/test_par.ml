@@ -167,8 +167,22 @@ let test_campaign_table_domain_invariant () =
   Alcotest.(check bool) "table non-trivial" true (String.length s1 > 100);
   Alcotest.(check string) "fig3 table byte-identical across domain counts" s1 (render 4)
 
+(* The pool size is checked, not clamped: a caller asking for no domains
+   gets an error instead of a silent single-domain run. *)
+let test_set_domains_rejects_nonpositive () =
+  let before = Resa_par.domain_count () in
+  List.iter
+    (fun n ->
+      Alcotest.check_raises (Printf.sprintf "set_domains %d" n)
+        (Invalid_argument "Resa_par.set_domains: need at least 1 domain") (fun () ->
+          Resa_par.set_domains n))
+    [ 0; -1 ];
+  Alcotest.(check int) "pool size unchanged" before (Resa_par.domain_count ())
+
 let suite =
   [
+    Alcotest.test_case "set_domains rejects counts below 1" `Quick
+      test_set_domains_rejects_nonpositive;
     Alcotest.test_case "parallel_map matches sequential" `Quick test_parallel_map_matches_sequential;
     Alcotest.test_case "parallel_map_list keeps order" `Quick test_parallel_map_list;
     Alcotest.test_case "empty inputs" `Quick test_empty_inputs;
